@@ -18,12 +18,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import __version__
-from .entropy import InvalidSpectrumError, renyi, von_neumann
+from .entropy import InvalidSpectrumError, renyi
 from .oracle.dense import DEFAULT_MAX_DIM, ResourceCapError, eigenspectrum
 from .oracle.fock import fock_block_spectrum
 from .oracle.pauli import pauli_density_matrix_spin1
-from .spectrum import block_spectrum, eigenvalue_recurrence, saturation_value
-from .verify import SUITES, run_suite
+from .spectrum import EXACT_METHODS, block_spectrum, saturation_value
+from .verify import SUITES, label_sectors, run_suite
 
 __all__ = ["RunConfig", "run_spectrum", "run_entropy", "run_verify", "main"]
 
@@ -32,12 +32,8 @@ EXIT_VERIFY = 1
 EXIT_USAGE = 2
 EXIT_RESOURCE = 3
 
-FORMULA_METHODS = ("recurrence", "closed_form")
 ORACLE_METHODS = ("fock_oracle", "pauli_oracle")
-ALL_METHODS = FORMULA_METHODS + ORACLE_METHODS
-
-_MATCH_TOL = 1e-9
-_ZERO_TOL = 1e-10
+ALL_METHODS = EXACT_METHODS + ORACLE_METHODS
 
 
 class UsageError(ValueError):
@@ -84,50 +80,6 @@ class RunConfig:
         return doc
 
 
-def _reference_entries(S: int, L: int) -> list[tuple[int, Fraction]]:
-    return [(J, eigenvalue_recurrence(S, L, J)) for J in range(S + 1)]
-
-
-def _assign_sectors(
-    values: list[float], reference: list[tuple[int, Fraction]]
-) -> tuple[list[tuple[int, float, int]], int, float, bool, str]:
-    """Label oracle eigenvalues with the J sector of the nearest formula value.
-
-    Returns (rows, leftover count, max |leftover|, ok flag, detail). The flag
-    drops when any match deviates beyond 1e-9 or a leftover exceeds 1e-10.
-    """
-    remaining = list(values)
-    rows = []
-    ok = True
-    notes = []
-    for J, lam in sorted(reference, key=lambda item: -float(item[1])):
-        target = float(lam)
-        consumed = []
-        for _ in range(2 * J + 1):
-            if not remaining:
-                ok = False
-                notes.append(f"ran out of eigenvalues at J={J}")
-                break
-            best = min(range(len(remaining)), key=lambda i: abs(remaining[i] - target))
-            consumed.append(remaining.pop(best))
-        if not consumed:
-            continue
-        deviation = max(abs(v - target) for v in consumed)
-        if deviation > _MATCH_TOL:
-            ok = False
-            notes.append(f"J={J} deviates by {deviation:.3e}")
-        rows.append((J, sum(consumed) / len(consumed), 2 * J + 1))
-    leftover_max = max((abs(v) for v in remaining), default=0.0)
-    if leftover_max > _ZERO_TOL:
-        ok = False
-        notes.append(f"leftover eigenvalue {leftover_max:.3e}")
-    detail = "; ".join(notes) if notes else (
-        f"matched formula values within {_MATCH_TOL}, leftovers below {_ZERO_TOL}"
-    )
-    rows.sort(key=lambda row: row[0])
-    return rows, len(remaining), leftover_max, ok, detail
-
-
 def _oracle_values(cfg: RunConfig, method: str, L: int) -> list[float]:
     if method == "fock_oracle":
         return fock_block_spectrum(cfg.spin, L, max_dim=cfg.max_dim)
@@ -136,35 +88,23 @@ def _oracle_values(cfg: RunConfig, method: str, L: int) -> list[float]:
     return eigenspectrum(pauli_density_matrix_spin1(L), max_dim=max(cfg.max_dim, 3**7))
 
 
+_ROW_FIELDS = ("S", "L", "J", "lambda_exact", "lambda_float", "multiplicity", "method")
+
+
 def run_spectrum(cfg: RunConfig) -> tuple[dict, int]:
     """Per-(L, J) eigenvalues for every requested method, with agreement checks."""
-    results = []
+    rows = []
     checks = []
     failed = False
     for L in cfg.lengths:
-        formula_specs = {}
+        exact = {}
         for method in cfg.methods:
-            if method not in FORMULA_METHODS:
-                continue
-            spec = block_spectrum(cfg.spin, L, method=_SPEC_METHOD[method])
-            formula_specs[method] = spec
-            for J, value, mult in spec.entries:
-                results.append(
-                    {
-                        "S": cfg.spin,
-                        "L": L,
-                        "J": J,
-                        "lambda_exact": str(value),
-                        "lambda_float": float(value),
-                        "multiplicity": mult,
-                        "method": method,
-                    }
-                )
-        if len(formula_specs) == 2:
-            agree = (
-                formula_specs["recurrence"].entries
-                == formula_specs["closed_form"].entries
-            )
+            if method in EXACT_METHODS:
+                exact[method] = block_spectrum(cfg.spin, L, method=method).entries
+                for J, value, mult in exact[method]:
+                    rows.append((cfg.spin, L, J, _exact_text(value), float(value), mult, method))
+        if len(exact) == 2:
+            agree = exact["recurrence"] == exact["closed_form"]
             failed = failed or not agree
             checks.append(
                 {
@@ -176,58 +116,35 @@ def run_spectrum(cfg: RunConfig) -> tuple[dict, int]:
                     else "recurrence and closed form differ",
                 }
             )
-        reference = _reference_entries(cfg.spin, L)
         for method in cfg.methods:
-            if method not in ORACLE_METHODS:
-                continue
-            values = _oracle_values(cfg, method, L)
-            rows, leftovers, leftover_max, ok, detail = _assign_sectors(values, reference)
-            failed = failed or not ok
-            for J, value, mult in rows:
-                results.append(
+            if method in ORACLE_METHODS:
+                labelled, ok, detail = label_sectors(_oracle_values(cfg, method, L), cfg.spin, L)
+                failed = failed or not ok
+                for J, value, mult in labelled:
+                    label = method if J is not None else method + "_null_modes"
+                    rows.append((cfg.spin, L, J, None, value, mult, label))
+                checks.append(
                     {
-                        "S": cfg.spin,
-                        "L": L,
-                        "J": J,
-                        "lambda_exact": None,
-                        "lambda_float": value,
-                        "multiplicity": mult,
-                        "method": method,
+                        "suite": "spectrum",
+                        "name": f"{method}_agreement_L{L}",
+                        "passed": ok,
+                        "detail": detail + " (reference: recurrence)",
                     }
                 )
-            if leftovers:
-                results.append(
-                    {
-                        "S": cfg.spin,
-                        "L": L,
-                        "J": None,
-                        "lambda_exact": None,
-                        "lambda_float": leftover_max,
-                        "multiplicity": leftovers,
-                        "method": method + "_null_modes",
-                    }
-                )
-            checks.append(
-                {
-                    "suite": "spectrum",
-                    "name": f"{method}_agreement_L{L}",
-                    "passed": ok,
-                    "detail": detail + " (reference: recurrence)",
-                }
-            )
-    results.sort(
-        key=lambda row: (
-            row["S"],
-            row["L"],
-            row["J"] if row["J"] is not None else 1 << 30,
-            row["method"],
-        )
-    )
-    doc = _document(cfg, results, checks)
-    return doc, EXIT_VERIFY if failed else EXIT_OK
+    # sorted by (S, L, J, method); S is fixed and null-mode rows come last
+    rows.sort(key=lambda row: (row[1], 1 << 30 if row[2] is None else row[2], row[6]))
+    results = [dict(zip(_ROW_FIELDS, row)) for row in rows]
+    return _document(cfg, results, checks), EXIT_VERIFY if failed else EXIT_OK
 
 
-_SPEC_METHOD = {"recurrence": "recurrence", "closed_form": "closed_form"}
+def _exact_text(value: Fraction) -> str:
+    """Exact "p/q" at any size; the int-to-str digit limit is lifted for this call only."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return str(value)
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def run_entropy(cfg: RunConfig) -> tuple[dict, int]:
@@ -237,7 +154,7 @@ def run_entropy(cfg: RunConfig) -> tuple[dict, int]:
     for L in cfg.lengths:
         spec = block_spectrum(cfg.spin, L)
         for alpha in cfg.alphas:
-            value = von_neumann(spec) if alpha == 1.0 else renyi(spec, alpha)
+            value = renyi(spec, alpha)
             results.append(
                 {
                     "S": cfg.spin,

@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -55,6 +56,7 @@ __all__ = [
     "SUITES",
     "run_suite",
     "match_spectrum",
+    "label_sectors",
     "ground_space_projector_gap",
     "suite_conjecture1",
     "suite_oracle",
@@ -73,6 +75,29 @@ def _check(suite: str, name: str, passed: bool, detail: str, counterexample=None
     return record
 
 
+def _greedy_match(
+    observed: Sequence[float], expected: Sequence[tuple[int, Fraction | float]]
+) -> tuple[list[tuple[int, float, list[float]]], list[float]]:
+    """Greedy nearest-value consumption of the observed eigenvalues.
+
+    In descending order of Lambda(J), each sector claims the 2J+1 closest
+    unclaimed observed values (fewer if they run out). Returns the
+    (J, target, claimed values) triples in that order and the unclaimed rest.
+    """
+    remaining = list(observed)
+    claims = []
+    for J, lam in sorted(expected, key=lambda item: -float(item[1])):
+        target = float(lam)
+        claimed = []
+        for _ in range(2 * J + 1):
+            if not remaining:
+                break
+            best = min(range(len(remaining)), key=lambda i: abs(remaining[i] - target))
+            claimed.append(remaining.pop(best))
+        claims.append((J, target, claimed))
+    return claims, remaining
+
+
 def match_spectrum(
     observed: Sequence[float],
     expected: Sequence[tuple[int, Fraction | float]],
@@ -81,30 +106,63 @@ def match_spectrum(
 ) -> tuple[bool, str]:
     """Match oracle eigenvalues against {Lambda(J) with multiplicity 2J+1}.
 
-    Greedy nearest-value consumption: each expected eigenvalue claims the
-    closest unclaimed observed one; whatever remains must vanish.
+    Each expected eigenvalue claims the closest unclaimed observed one; the
+    detail names the first claim off by more than ``tol``, and whatever
+    remains must vanish within ``zero_tol``.
     """
-    remaining = list(observed)
+    claims, remaining = _greedy_match(observed, expected)
     worst_match = 0.0
-    for J, lam in sorted(expected, key=lambda item: -float(item[1])):
-        target = float(lam)
-        for _ in range(2 * J + 1):
-            if not remaining:
-                return False, f"ran out of eigenvalues while matching J={J}"
-            best = min(range(len(remaining)), key=lambda i: abs(remaining[i] - target))
-            deviation = abs(remaining[best] - target)
+    for J, target, claimed in claims:
+        for value in claimed:
+            deviation = abs(value - target)
             if deviation > tol:
                 return (
                     False,
                     f"J={J}: expected {target!r}, closest observed "
-                    f"{remaining[best]!r} (|diff|={deviation:.3e} > {tol})",
+                    f"{value!r} (|diff|={deviation:.3e} > {tol})",
                 )
             worst_match = max(worst_match, deviation)
-            remaining.pop(best)
+        if len(claimed) < 2 * J + 1:
+            return False, f"ran out of eigenvalues while matching J={J}"
     worst_leftover = max((abs(v) for v in remaining), default=0.0)
     if worst_leftover > zero_tol:
         return False, f"leftover eigenvalue {worst_leftover:.3e} exceeds {zero_tol}"
     return True, f"max match dev {worst_match:.3e}, max leftover {worst_leftover:.3e}"
+
+
+def label_sectors(
+    observed: Sequence[float], S: int, L: int
+) -> tuple[list[tuple[int | None, float, int]], bool, str]:
+    """Label oracle eigenvalues with the J sector of the nearest formula value.
+
+    Returns rows (J, mean of the claimed values, 2J+1) sorted by J, then,
+    if any values are left unclaimed, one row (None, max |leftover|,
+    leftover count); an ok flag; and a detail listing every problem: a
+    sector that runs out of values, a claim off by more than 1e-9, or a
+    leftover above 1e-10.
+    """
+    claims, leftovers = _greedy_match(observed, _formula_entries(S, L))
+    rows = []
+    notes = []
+    for J, target, claimed in claims:
+        if len(claimed) < 2 * J + 1:
+            notes.append(f"ran out of eigenvalues at J={J}")
+        if not claimed:
+            continue
+        deviation = max(abs(v - target) for v in claimed)
+        if deviation > _MATCH_TOL:
+            notes.append(f"J={J} deviates by {deviation:.3e}")
+        rows.append((J, sum(claimed) / len(claimed), 2 * J + 1))
+    rows.sort()
+    if leftovers:
+        leftover_max = max(abs(v) for v in leftovers)
+        rows.append((None, leftover_max, len(leftovers)))
+        if leftover_max > _ZERO_TOL:
+            notes.append(f"leftover eigenvalue {leftover_max:.3e}")
+    detail = "; ".join(notes) or (
+        f"matched formula values within {_MATCH_TOL}, leftovers below {_ZERO_TOL}"
+    )
+    return rows, not notes, detail
 
 
 def _formula_entries(S: int, L: int) -> list[tuple[int, Fraction]]:
@@ -168,14 +226,22 @@ def _spectra_close(a: Sequence[float], b: Sequence[float]) -> float:
 def suite_oracle(
     spin: int = 1, max_length: int = 6, max_dim: int = DEFAULT_MAX_DIM
 ) -> list[dict]:
-    """Brute-force Fock (and for spin 1, Pauli) spectra against the formulas."""
+    """Brute-force Fock (and for spin 1, Pauli) spectra against the formulas.
+
+    Each oracle spectrum is built once per cell and its eigenvalue list is
+    reused by every check that reads it.
+    """
     checks = []
     S = spin
+
+    @lru_cache(maxsize=None)
+    def fock(L: int, N: int, start: int) -> list[float]:
+        return fock_block_spectrum(S, L, N=N, start=start, max_dim=max_dim)
 
     failure = None
     detail = ""
     for L in range(2, max_length + 1):
-        observed = fock_block_spectrum(S, L, max_dim=max_dim)
+        observed = fock(L, L, 1)
         ok, detail = match_spectrum(observed, _formula_entries(S, L))
         if not ok:
             failure = {"S": S, "L": L, "detail": detail}
@@ -192,7 +258,7 @@ def suite_oracle(
 
     failure = None
     for L in range(2, max_length + 1):
-        observed = fock_block_spectrum(S, L, max_dim=max_dim)
+        observed = fock(L, L, 1)
         rank = numerical_rank(observed, dim=len(observed))
         if rank != (S + 1) ** 2:
             failure = {"S": S, "L": L, "rank": rank, "expected": (S + 1) ** 2}
@@ -208,12 +274,12 @@ def suite_oracle(
     )
 
     L = 2
-    reference = fock_block_spectrum(S, L, N=L, start=1, max_dim=max_dim)
+    reference = fock(L, L, 1)
     failure = None
     worst = 0.0
     for N in (L, L + 1, L + 2):
         for start in range(1, N - L + 2):
-            observed = fock_block_spectrum(S, L, N=N, start=start, max_dim=max_dim)
+            observed = fock(L, N, start)
             deviation = _spectra_close(reference, observed)
             worst = max(worst, deviation)
             if deviation > _MATCH_TOL:
@@ -229,7 +295,7 @@ def suite_oracle(
     )
 
     if S == 1:
-        checks.extend(_pauli_checks(max_length))
+        checks.extend(_pauli_checks(max_length, fock))
         gap_lengths = [L for L in (6, 8, 10) if L <= max_length]
         if len(gap_lengths) >= 2:
             gaps = ground_space_projector_gap(S=1, lengths=gap_lengths)
@@ -260,13 +326,18 @@ def suite_oracle(
     return checks
 
 
-def _pauli_checks(max_length: int) -> list[dict]:
+def _pauli_checks(max_length: int, fock) -> list[dict]:
+    """Spin-1 Pauli-string checks; ``fock(L, N, start)`` gives Fock spectra."""
     checks = []
+
+    @lru_cache(maxsize=None)
+    def pauli(L: int) -> list[float]:
+        return eigenspectrum(pauli_density_matrix_spin1(L), max_dim=3**7)
+
     failure = None
     detail = ""
     for L in range(2, min(max_length, 7) + 1):
-        observed = eigenspectrum(pauli_density_matrix_spin1(L), max_dim=3**7)
-        ok, detail = match_spectrum(observed, _formula_entries(1, L), tol=_ZERO_TOL)
+        ok, detail = match_spectrum(pauli(L), _formula_entries(1, L), tol=_ZERO_TOL)
         if not ok:
             failure = {"S": 1, "L": L, "detail": detail}
             break
@@ -333,9 +404,7 @@ def _pauli_checks(max_length: int) -> list[dict]:
     failure = None
     worst = 0.0
     for L in range(2, min(max_length, 6) + 1):
-        fock = fock_block_spectrum(1, L, max_dim=3**6)
-        pauli = eigenspectrum(pauli_density_matrix_spin1(L), max_dim=3**6)
-        deviation = _spectra_close(fock, pauli)
+        deviation = _spectra_close(fock(L, L, 1), pauli(L))
         worst = max(worst, deviation)
         if deviation > _ZERO_TOL:
             failure = {"L": L, "deviation": deviation}
@@ -635,34 +704,27 @@ def suite_flat_limit(max_spin: int = 5, max_length: int = 40) -> list[dict]:
     ]
 
 
+# Suite name -> (suite function name, options it takes), run in order. The
+# functions are looked up by name at call time and their defaults live only
+# in their signatures; ``all`` runs every suite with the same options.
 SUITES = {
-    "conjecture1": lambda **kw: suite_conjecture1(
-        max_spin=kw.get("max_spin", 5), max_length=kw.get("max_length", 30)
-    )
-    + suite_flat_limit(max_spin=kw.get("max_spin", 5)),
-    "oracle": lambda **kw: suite_oracle(
-        spin=kw.get("spin", 1),
-        max_length=kw.get("max_length", 6),
-        max_dim=kw.get("max_dim", DEFAULT_MAX_DIM),
+    "conjecture1": (
+        ("suite_conjecture1", ("max_spin", "max_length")),
+        ("suite_flat_limit", ("max_spin",)),
     ),
-    "hamiltonian": lambda **kw: suite_hamiltonian(
-        spin=kw.get("spin", 1),
-        lengths=kw.get("lengths"),
-        max_dim=kw.get("max_dim", DEFAULT_MAX_DIM),
-    ),
-    "appendix": lambda **kw: suite_appendix(max_spin=kw.get("max_spin", 2)),
+    "oracle": (("suite_oracle", ("spin", "max_length", "max_dim")),),
+    "hamiltonian": (("suite_hamiltonian", ("spin", "lengths", "max_dim")),),
+    "appendix": (("suite_appendix", ("max_spin",)),),
 }
 
 
-def run_suite(name: str, **kwargs) -> list[dict]:
-    """Run one named suite, or all of them with per-suite default ranges."""
-    if name == "all":
-        checks = []
-        checks.extend(SUITES["conjecture1"](max_spin=kwargs.get("max_spin", 5)))
-        checks.extend(SUITES["oracle"](spin=kwargs.get("spin", 1)))
-        checks.extend(SUITES["hamiltonian"](spin=kwargs.get("spin", 1)))
-        checks.extend(SUITES["appendix"]())
-        return checks
-    if name not in SUITES:
+def run_suite(name: str, **options) -> list[dict]:
+    """Run one named suite, or all of them, passing each the options it takes."""
+    if name != "all" and name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {sorted(SUITES)} or 'all'")
-    return SUITES[name](**kwargs)
+    checks = []
+    for suite in SUITES if name == "all" else (name,):
+        for function, accepted in SUITES[suite]:
+            kwargs = {key: options[key] for key in accepted if key in options}
+            checks.extend(globals()[function](**kwargs))
+    return checks

@@ -5,13 +5,17 @@ The exit-code contract: 0 success, 1 verification failure, 2 usage error,
 the same invocation (no timestamps, sorted grids).
 """
 
+import csv
+import io
 import json
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
 from akltblock.cli import main
+from akltblock.spectrum import eigenvalue_recurrence
 
 
 def run_cli(capsys, *argv):
@@ -104,6 +108,30 @@ def test_spectrum_out_file(tmp_path, capsys):
     assert doc["results"]
 
 
+@pytest.mark.parametrize("output_format", ["json", "csv"])
+def test_spectrum_lambda_exact_beyond_int_digit_limit(output_format, capsys):
+    # At L=5000 numerators and denominators run to ~7700 digits, past
+    # Python's default 4300-digit int/str conversion limit.
+    limit = sys.get_int_max_str_digits()
+    code, out, _ = run_cli(
+        capsys, "spectrum", "--spin", "3", "--length", "5000", "--format", output_format
+    )
+    assert code == 0
+    assert sys.get_int_max_str_digits() == limit
+    if output_format == "json":
+        rows = json.loads(out)["results"]
+    else:
+        rows = list(csv.DictReader(io.StringIO(out)))
+    assert len(rows) == 4
+    sys.set_int_max_str_digits(0)
+    try:
+        for row in rows:
+            J = int(row["J"])
+            assert Fraction(row["lambda_exact"]) == eigenvalue_recurrence(3, 5000, J)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def test_pauli_oracle_requires_spin1(capsys):
     code, _, err = run_cli(
         capsys, "spectrum", "--spin", "2", "--length", "2", "--method", "pauli_oracle"
@@ -181,6 +209,22 @@ def test_verify_rejects_unknown_suite(capsys):
     code, _, err = run_cli(capsys, "verify", "everything")
     assert code == 2
     assert "invalid choice" in err
+
+
+def test_verify_all_honours_max_dim(capsys):
+    code, _, err = run_cli(capsys, "verify", "all", "--max-dim", "10")
+    assert code == 3
+    assert "cap" in err
+
+
+def test_verify_all_honours_max_length(capsys):
+    code, out, _ = run_cli(capsys, "verify", "all", "--max-length", "3")
+    assert code == 0
+    details = {c["name"]: c["detail"] for c in json.loads(out)["checks"]}
+    assert details["fock_spectrum_matches_formula"].startswith("S=1, L=2..3: ")
+    assert details["recurrence_equals_closed_spin1"] == "exact equality over L=2..3, J=0..1"
+    # flat_limit keeps its own length range
+    assert "L<=40" in details["flat_limit_bound"]
 
 
 def test_verify_csv(capsys):
