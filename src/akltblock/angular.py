@@ -33,6 +33,21 @@ def factorial(n: int) -> int:
     return math.factorial(n)
 
 
+def _check_spin(S: int, minimum: int = 1) -> None:
+    if not isinstance(S, int) or isinstance(S, bool) or S < minimum:
+        raise ValueError(f"bulk spin must be an integer >= {minimum}, got {S!r}")
+
+
+def _check_sector(S: int, J: int) -> None:
+    if not isinstance(J, int) or not 0 <= J <= S:
+        raise ValueError(f"edge-spin sector J must satisfy 0 <= J <= S={S}, got {J!r}")
+
+
+def _check_length(L: int, minimum: int = 1) -> None:
+    if not isinstance(L, int) or L < minimum:
+        raise ValueError(f"length must be an integer >= {minimum}, got {L!r}")
+
+
 def _tfact(twice: int) -> int:
     """Factorial of twice/2. ``twice`` must be an even non-negative integer."""
     if twice < 0 or twice % 2:

@@ -31,6 +31,9 @@ import numpy as np
 
 from ..angular import (
     SignedSqrtRational,
+    _check_length,
+    _check_sector,
+    _check_spin,
     _coupling_prefactor_square,
     _racah_sum,
     _sqrt_exact,
@@ -186,9 +189,8 @@ def build_block_vbs(S: int, L: int) -> StateVector:
 
     End sites carry S bosons (spin S/2) and bulk sites 2S bosons (spin S).
     """
-    _check_bulk_spin(S)
-    if not isinstance(L, int) or L < 2:
-        raise ValueError(f"block length must be an integer >= 2, got {L!r}")
+    _check_spin(S)
+    _check_length(L, minimum=2)
     state = vacuum(L)
     for site in range(L - 1):
         state = valence_bond_power(state, site, site + 1, S)
@@ -197,23 +199,17 @@ def build_block_vbs(S: int, L: int) -> StateVector:
 
 def build_full_vbs(S: int, N: int) -> StateVector:
     """Open-chain VBS state: N bulk spin-S sites, spin-S/2 ends, N+1 bonds."""
-    _check_bulk_spin(S)
-    if not isinstance(N, int) or N < 1:
-        raise ValueError(f"bulk site count must be an integer >= 1, got {N!r}")
+    _check_spin(S)
+    _check_length(N)
     state = vacuum(N + 2)
     for site in range(N + 1):
         state = valence_bond_power(state, site, site + 1, S)
     return state
 
 
-def _check_bulk_spin(S: int) -> None:
-    if not isinstance(S, int) or isinstance(S, bool) or S < 1:
-        raise ValueError(f"bulk spin must be a positive integer, got {S!r}")
-
-
-def _check_sector(S: int, J: int, M: int) -> None:
-    if not isinstance(J, int) or not 0 <= J <= S:
-        raise ValueError(f"edge spin J must satisfy 0 <= J <= S={S}, got {J!r}")
+def _check_edge(S: int, J: int, M: int) -> None:
+    _check_spin(S)
+    _check_sector(S, J)
     if not isinstance(M, int) or abs(M) > J:
         raise ValueError(f"edge magnetization M must satisfy |M| <= J={J}, got {M!r}")
 
@@ -240,8 +236,7 @@ def _pair_terms(S: int, J: int, M: int):
 
 def edge_pair_state(S: int, J: int, M: int) -> StateVector:
     """Normalized two-site state of the boundary pair: |J, M> of two spin-S/2."""
-    _check_bulk_spin(S)
-    _check_sector(S, J, M)
+    _check_edge(S, J, M)
     prefactor_square, terms = _pair_terms(S, J, M)
     amps = {(tm1, tm2): rational for tm1, tm2, rational in terms}
     return StateVector(
@@ -266,8 +261,7 @@ def apply_psi_dagger(state: StateVector, J: int, M: int) -> StateVector:
         ts != 2 * S for ts in state.spins[1:-1]
     ):
         raise ValueError("expected a block VBS state with spin-S/2 end sites")
-    _check_bulk_spin(S)
-    _check_sector(S, J, M)
+    _check_edge(S, J, M)
     prefactor_square, terms = _pair_terms(S, J, M)
     last = state.nsites - 1
     new_amps: dict[tuple[int, ...], Fraction] = {}
@@ -300,14 +294,10 @@ def degenerate_states(S: int, L: int) -> dict[tuple[int, int], StateVector]:
     }
 
 
-def reduced_density_matrix(
-    state: StateVector, start: int, length: int, max_dim: int = DEFAULT_MAX_DIM
+def _block_view(
+    state: StateVector, start: int, length: int, max_dim: int, what: str
 ) -> np.ndarray:
-    """Partial trace onto a contiguous block of sites, as a dense matrix.
-
-    The state is normalized first, so the result has unit trace. Row/column
-    index is site-major over the block (earliest block site fastest).
-    """
+    """Normalized dense state as a (left, block, right) array; caps the block at max_dim."""
     if length < 1 or start < 0 or start + length > state.nsites:
         raise ValueError(
             f"block (start={start}, length={length}) is not a valid site range"
@@ -316,8 +306,19 @@ def reduced_density_matrix(
     d_left = math.prod(dims[:start])
     d_block = math.prod(dims[start : start + length])
     d_right = math.prod(dims[start + length :])
-    require_dim(d_block, max_dim, what="density matrix")
-    psi = state.to_dense(normalized=True).reshape((d_left, d_block, d_right), order="F")
+    require_dim(d_block, max_dim, what=what)
+    return state.to_dense(normalized=True).reshape((d_left, d_block, d_right), order="F")
+
+
+def reduced_density_matrix(
+    state: StateVector, start: int, length: int, max_dim: int = DEFAULT_MAX_DIM
+) -> np.ndarray:
+    """Partial trace onto a contiguous block of sites, as a dense matrix.
+
+    The state is normalized first, so the result has unit trace. Row/column
+    index is site-major over the block (earliest block site fastest).
+    """
+    psi = _block_view(state, start, length, max_dim, "density matrix")
     return np.einsum("abc,adc->bd", psi, psi)
 
 
@@ -352,16 +353,8 @@ def correlator_reconstruction(
     environment; agreement with :func:`reduced_density_matrix` is the
     definitional cross-check.
     """
-    if length < 1 or start < 0 or start + length > state.nsites:
-        raise ValueError(
-            f"block (start={start}, length={length}) is not a valid site range"
-        )
-    dims = state.dims
-    d_left = math.prod(dims[:start])
-    d_block = math.prod(dims[start : start + length])
-    d_right = math.prod(dims[start + length :])
-    require_dim(d_block, max_dim, what="correlator matrix")
-    psi = state.to_dense(normalized=True).reshape((d_left, d_block, d_right), order="F")
+    psi = _block_view(state, start, length, max_dim, "correlator matrix")
+    d_block = psi.shape[1]
     rho = np.empty((d_block, d_block))
     for a in range(d_block):
         bra = psi[:, a, :].ravel()
@@ -377,8 +370,7 @@ def partial_inner_identity_check(S: int, L: int, J: int, M: int) -> float:
     |J, M> must reproduce (-1)^(S-J+M) (S!)^2 times the degenerate block
     state for (J, -M). Both sides are built independently.
     """
-    _check_bulk_spin(S)
-    _check_sector(S, J, M)
+    _check_edge(S, J, M)
     full = build_full_vbs(S, L)
     dims = full.dims
     d_end = dims[0]

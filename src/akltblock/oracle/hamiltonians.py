@@ -15,7 +15,7 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from ..angular import clebsch_gordan, _triangle_ok
+from ..angular import _check_length, _check_spin, _triangle_ok, clebsch_gordan
 from .dense import DEFAULT_MAX_DIM, require_dim
 
 __all__ = [
@@ -116,10 +116,8 @@ def block_hamiltonian(
     the null space is the span of the degenerate block VBS states whatever
     the positive weights.
     """
-    if not isinstance(S, int) or S < 1:
-        raise ValueError(f"bulk spin must be a positive integer, got {S!r}")
-    if not isinstance(L, int) or L < 2:
-        raise ValueError(f"block length must be an integer >= 2, got {L!r}")
+    _check_spin(S)
+    _check_length(L, minimum=2)
     weights = _coefficients(C, S, "bulk projector")
     dims = (2 * S + 1,) * L
     dim = math.prod(dims)
@@ -148,10 +146,8 @@ def unique_hamiltonian(
     S/2+1..3S/2 (twice-values S+2..3S) and weights ``D``, both in ascending J
     order, default all 1.
     """
-    if not isinstance(S, int) or S < 1:
-        raise ValueError(f"bulk spin must be a positive integer, got {S!r}")
-    if not isinstance(N, int) or N < 1:
-        raise ValueError(f"bulk site count must be an integer >= 1, got {N!r}")
+    _check_spin(S)
+    _check_length(N)
     bulk_weights = _coefficients(C, S, "bulk projector")
     boundary_weights = _coefficients(D, S, "boundary projector")
     dims = (S + 1,) + (2 * S + 1,) * N + (S + 1,)

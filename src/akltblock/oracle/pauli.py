@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..angular import _check_length
 from .dense import MAX_STATE_ENTRIES, ResourceCapError
 
 __all__ = [
@@ -92,8 +93,7 @@ def pauli_ground_states_spin1(L: int, alpha: int) -> np.ndarray:
     factors; every contracted quantity (norms, overlaps, expectation values)
     comes out real.
     """
-    if not isinstance(L, int) or L < 2:
-        raise ValueError(f"need a block of at least two sites, got {L!r}")
+    _check_length(L, minimum=2)
     if alpha not in (0, 1, 2, 3):
         raise ValueError(f"alpha must be one of 0..3, got {alpha!r}")
     prefixes = _string_products(L - 1)
@@ -114,8 +114,7 @@ def pauli_channel_identity_check(L: int) -> float:
     brute force and compares with sum_beta A_beta |beta><beta| where
     A_0 = (3^(L-1) + 3(-1)^(L-1))/4 and A_{1,2,3} = (3^(L-1) - (-1)^(L-1))/4.
     """
-    if not isinstance(L, int) or L < 2:
-        raise ValueError(f"need a block of at least two sites, got {L!r}")
+    _check_length(L, minimum=2)
     prefixes = _string_products(L - 1)
     w = np.einsum("ab,nbc->nac", _SINGLET, prefixes.transpose(0, 2, 1)).reshape(-1, 4)
     lhs = w.T @ w.conj()

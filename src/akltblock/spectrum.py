@@ -3,12 +3,14 @@
 The reduced density matrix of a contiguous length-L block cut out of the
 (open, boundary-spin-S/2) VBS chain has exactly (S+1)^2 nonzero eigenvalues:
 one value Lambda(J) per total edge-spin sector J = 0..S, each with
-multiplicity 2J+1. Two independent exact routes are implemented:
+multiplicity 2J+1. Both exact routes evaluate
+Lambda(J) = sum_l c(S,J,l) lambda(l,S)^(L-1) with L-independent weights c,
+tabulated once per S by independent builders and damped by ``_damped_sum``:
 
-* ``eigenvalue_recurrence`` — a multipole expansion whose l-th channel is
-  damped by lambda(l,S)^(L-1), with polynomial weights I_l built from a
-  three-term recurrence;
-* ``eigenvalue_closed`` — a closed triple sum over squared 3j symbols.
+* ``eigenvalue_recurrence`` — c from the polynomials I_l of a three-term
+  recurrence (``_recurrence_weights``);
+* ``eigenvalue_closed`` — c from a sum over squared 3j symbols, no I_l
+  (``_closed_weights``).
 
 Everything here is big-rational arithmetic; no floats enter until entropy
 evaluation. Norm-squares of the underlying (unnormalized) VBS states are
@@ -22,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .angular import factorial, three_j_zero
+from .angular import _check_length, _check_sector, _check_spin, factorial, three_j_zero
 
 __all__ = [
     "IPolynomial",
@@ -41,21 +43,6 @@ __all__ = [
 ]
 
 EXACT_METHODS = ("recurrence", "closed_form")
-
-
-def _check_spin(S: int, minimum: int = 1) -> None:
-    if not isinstance(S, int) or isinstance(S, bool) or S < minimum:
-        raise ValueError(f"bulk spin must be an integer >= {minimum}, got {S!r}")
-
-
-def _check_sector(S: int, J: int) -> None:
-    if not isinstance(J, int) or not 0 <= J <= S:
-        raise ValueError(f"edge-spin sector J must satisfy 0 <= J <= S={S}, got {J!r}")
-
-
-def _check_length(L: int, minimum: int = 1) -> None:
-    if not isinstance(L, int) or L < minimum:
-        raise ValueError(f"block length must be an integer >= {minimum}, got {L!r}")
 
 
 def lambda_coeff(l: int, S: int) -> Fraction:
@@ -140,9 +127,51 @@ def i_polynomial(l: int, S: int) -> IPolynomial:
     return IPolynomial(S, l, tuple(cur))
 
 
-def _x_argument(J: int, S: int) -> Fraction:
-    # x(J) = J(J+1)/2 - (S/2)(S/2 + 1)
-    return Fraction(J * (J + 1), 2) - Fraction(S * (S + 2), 4)
+@lru_cache(maxsize=None)
+def _recurrence_weights(S: int) -> tuple[tuple[Fraction, ...], ...]:
+    """Recurrence-route weights: row J holds (2l+1) I_l(x(J)) / (S+1)^2, l = 0..S.
+
+    x(J) = J(J+1)/2 - (S/2)(S/2+1).
+    """
+    norm = (S + 1) ** 2
+    rows = []
+    for J in range(S + 1):
+        x = Fraction(J * (J + 1), 2) - Fraction(S * (S + 2), 4)
+        rows.append(tuple((2 * l + 1) * i_polynomial(l, S)(x) / norm for l in range(S + 1)))
+    return tuple(rows)
+
+
+@lru_cache(maxsize=None)
+def _closed_weights(S: int) -> tuple[tuple[Fraction, ...], ...]:
+    """Closed-route weights from squared 3j symbols only; row J, column l1.
+
+    prefactor(J) (2l1+1) sum_{lL,l} (2lL+1) lambda(lL,S-J) (2l+1) lambda(l,J)^2
+    (l1 lL l; 0 0 0)^2.
+    """
+    rows = []
+    for J in range(S + 1):
+        prefactor = Fraction(
+            factorial(2 * J + 1) * factorial(S) ** 2,
+            factorial(S + J + 1) * factorial(S - J + 1) * factorial(J + 1) ** 2,
+        )
+        outer = [(2 * lL + 1) * lambda_coeff(lL, S - J) for lL in range(S - J + 1)]
+        inner = [(2 * l + 1) * lambda_coeff(l, J) ** 2 for l in range(J + 1)]
+        row = []
+        for l1 in range(S + 1):
+            total = Fraction(0)
+            for lL, a in enumerate(outer):
+                for l, b in enumerate(inner):
+                    w = three_j_zero(l1, lL, l)
+                    if w.sign:
+                        total += a * b * w.square
+            row.append(prefactor * (2 * l1 + 1) * total)
+        rows.append(tuple(row))
+    return tuple(rows)
+
+
+def _damped_sum(weights: tuple[Fraction, ...], S: int, L: int) -> Fraction:
+    """sum_l weights[l] * lambda(l,S)^(L-1): the one L-dependent step of both routes."""
+    return sum(w * lambda_coeff(l, S) ** (L - 1) for l, w in enumerate(weights))
 
 
 def eigenvalue_recurrence(S: int, L: int, J: int) -> Fraction:
@@ -154,26 +183,7 @@ def eigenvalue_recurrence(S: int, L: int, J: int) -> Fraction:
     _check_spin(S)
     _check_length(L)
     _check_sector(S, J)
-    x = _x_argument(J, S)
-    total = Fraction(0)
-    for l in range(S + 1):
-        total += (2 * l + 1) * lambda_coeff(l, S) ** (L - 1) * i_polynomial(l, S)(x)
-    return total / (S + 1) ** 2
-
-
-def _edge_sum(S: int, L: int, J: int) -> Fraction:
-    """Triple sum over (l1, lL, l) shared by the closed form and the norms."""
-    total = Fraction(0)
-    for l1 in range(S + 1):
-        damped = (2 * l1 + 1) * lambda_coeff(l1, S) ** (L - 1)
-        for lL in range(S - J + 1):
-            pair = damped * (2 * lL + 1) * lambda_coeff(lL, S - J)
-            for l in range(J + 1):
-                w = three_j_zero(l1, lL, l)
-                if w.sign == 0:
-                    continue
-                total += pair * (2 * l + 1) * lambda_coeff(l, J) ** 2 * w.square
-    return total
+    return _damped_sum(_recurrence_weights(S)[J], S, L)
 
 
 def eigenvalue_closed(S: int, L: int, J: int) -> Fraction:
@@ -185,11 +195,7 @@ def eigenvalue_closed(S: int, L: int, J: int) -> Fraction:
     _check_spin(S)
     _check_length(L)
     _check_sector(S, J)
-    prefactor = Fraction(
-        factorial(2 * J + 1) * factorial(S) ** 2,
-        factorial(S + J + 1) * factorial(S - J + 1) * factorial(J + 1) ** 2,
-    )
-    return prefactor * _edge_sum(S, L, J)
+    return _damped_sum(_closed_weights(S)[J], S, L)
 
 
 def vbs_norm(S: int, N: int) -> Fraction:
@@ -199,8 +205,7 @@ def vbs_norm(S: int, N: int) -> Fraction:
     (N+1 valence bonds); the norm-square is [(2S+1)!/(S+1)]^N * S!(S+1)!.
     """
     _check_spin(S)
-    if not isinstance(N, int) or N < 0:
-        raise ValueError(f"bulk site count must be an integer >= 0, got {N!r}")
+    _check_length(N, minimum=0)
     return Fraction(factorial(2 * S + 1), S + 1) ** N * (factorial(S) * factorial(S + 1))
 
 
@@ -212,15 +217,8 @@ def degenerate_norm(S: int, L: int, J: int) -> Fraction:
     """
     _check_spin(S)
     _check_length(L, minimum=2)
-    _check_sector(S, J)
-    prefactor = Fraction(
-        factorial(2 * J + 1) * factorial(2 * S + 1) ** L,
-        (S + 1) ** (L - 1)
-        * factorial(S + J + 1)
-        * factorial(S - J + 1)
-        * factorial(J + 1) ** 2,
-    )
-    return prefactor * _edge_sum(S, L, J)
+    scale = Fraction(factorial(2 * S + 1), S + 1) ** L * Fraction(S + 1, factorial(S) ** 2)
+    return eigenvalue_closed(S, L, J) * scale
 
 
 def spin1_closed(L: int, J: int) -> Fraction:
@@ -246,11 +244,7 @@ def flat_limit_bound(S: int, J: int) -> Fraction:
     """
     _check_spin(S)
     _check_sector(S, J)
-    x = _x_argument(J, S)
-    total = Fraction(0)
-    for l in range(1, S + 1):
-        total += (2 * l + 1) * abs(i_polynomial(l, S)(x))
-    return total / (S + 1) ** 2
+    return sum(abs(w) for w in _recurrence_weights(S)[J][1:])
 
 
 @dataclass(frozen=True)

@@ -227,6 +227,20 @@ def test_verify_all_honours_max_length(capsys):
     assert "L<=40" in details["flat_limit_bound"]
 
 
+def test_verify_oracle_default_length_fits_the_cap(capsys):
+    # 5^6 > 4096, so the default oracle run at S=2 stops at L=5
+    code, out, _ = run_cli(capsys, "verify", "oracle", "--spin", "2")
+    assert code == 0
+    details = {c["name"]: c["detail"] for c in json.loads(out)["checks"]}
+    assert details["fock_spectrum_matches_formula"].startswith("S=2, L=2..5: ")
+
+
+def test_verify_all_spin2_passes_at_default_caps(capsys):
+    code, out, _ = run_cli(capsys, "verify", "all", "--spin", "2", "--max-spin", "3")
+    assert code == 0
+    assert all(c["passed"] for c in json.loads(out)["checks"])
+
+
 def test_verify_csv(capsys):
     code, out, _ = run_cli(
         capsys, "verify", "conjecture1", "--max-spin", "1", "--format", "csv"

@@ -15,6 +15,8 @@ from hypothesis import strategies as st
 
 from akltblock.spectrum import (
     EXACT_METHODS,
+    _closed_weights,
+    _recurrence_weights,
     block_spectrum,
     degenerate_norm,
     eigenvalue_closed,
@@ -140,6 +142,13 @@ def test_spin1_closed_forms():
 def test_routes_agree_exactly(S, L):
     for J in range(S + 1):
         assert eigenvalue_recurrence(S, L, J) == eigenvalue_closed(S, L, J)
+
+
+def test_weight_tables_equal_for_every_length():
+    # Both routes damp their L-independent weights by the same lambda(l,S)^(L-1),
+    # so equal tables make them agree at every L, not only at sampled lengths.
+    for S in range(1, 13):
+        assert _recurrence_weights(S) == _closed_weights(S)
 
 
 @given(S=st.integers(1, 8), L=st.integers(1, 64))
