@@ -10,7 +10,7 @@ top.
 """
 
 from .angular import SignedSqrtRational, clebsch_gordan, factorial, three_j_zero, wigner_3j
-from .entropy import EntropyReport, InvalidSpectrumError, entropy_report, renyi, von_neumann
+from .entropy import InvalidSpectrumError, renyi, von_neumann
 from .spectrum import (
     BlockSpectrum,
     EXACT_METHODS,
@@ -53,7 +53,5 @@ __all__ = [
     "EXACT_METHODS",
     "von_neumann",
     "renyi",
-    "EntropyReport",
-    "entropy_report",
     "InvalidSpectrumError",
 ]

@@ -176,6 +176,8 @@ def run_verify(cfg: RunConfig) -> tuple[dict, int]:
     if cfg.explicit_lengths:
         kwargs["lengths"] = list(cfg.lengths)
         kwargs.setdefault("max_length", max(cfg.lengths))
+    if kwargs.get("max_length", 2) < 2:
+        raise UsageError(f"verify needs a max length of at least 2, got {kwargs['max_length']}")
     checks = run_suite(cfg.suite, **kwargs)
     passed = all(check["passed"] for check in checks)
     return _document(cfg, [], checks), EXIT_OK if passed else EXIT_VERIFY
@@ -334,7 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
     verify = commands.add_parser("verify", help="run a verification suite")
     verify.add_argument("suite", choices=sorted(SUITES) + ["all"])
     verify.add_argument("--spin", type=_positive_spin, default=1)
-    verify.add_argument("--max-spin", type=int, default=5)
+    verify.add_argument("--max-spin", type=_positive_spin, default=5)
     verify.add_argument("--length", type=_length_range, default=None)
     verify.add_argument("--max-length", type=int, default=None)
     verify.add_argument("--format", choices=("json", "csv"), default="json", dest="output_format")

@@ -12,12 +12,11 @@ saturate at 2 ln(S+1) as the block grows.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .spectrum import BlockSpectrum, saturation_value
+from .spectrum import BlockSpectrum
 
-__all__ = ["InvalidSpectrumError", "EntropyReport", "von_neumann", "renyi", "entropy_report"]
+__all__ = ["InvalidSpectrumError", "von_neumann", "renyi"]
 
 _TRACE_TOL = 1e-12
 _NEGATIVE_TOL = -1e-10
@@ -72,30 +71,3 @@ def renyi(spec: BlockSpectrum, alpha: float) -> float:
         if value > 0.0:
             power_sum += mult * value**alpha
     return math.log(power_sum) / (1.0 - alpha)
-
-
-@dataclass(frozen=True)
-class EntropyReport:
-    """Entropies of one (S, L) block with the saturation diagnostic.
-
-    ``renyi`` lists (alpha, value) pairs; ``saturation_gap`` is
-    2 ln(S+1) - von_neumann, which shrinks like |lambda(1,S)|^(L-1).
-    """
-
-    S: int
-    L: int
-    von_neumann: float
-    renyi: tuple[tuple[float, float], ...]
-    saturation_gap: float
-
-
-def entropy_report(spec: BlockSpectrum, alphas: tuple[float, ...] = (0.5, 2.0)) -> EntropyReport:
-    """Bundle von Neumann and Renyi entropies for a computed spectrum."""
-    value = von_neumann(spec)
-    return EntropyReport(
-        S=spec.S,
-        L=spec.L,
-        von_neumann=value,
-        renyi=tuple((float(a), renyi(spec, a)) for a in alphas),
-        saturation_gap=saturation_value(spec.S) - value,
-    )

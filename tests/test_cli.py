@@ -265,6 +265,23 @@ def test_usage_errors_exit_2(capsys):
     assert run_cli(capsys)[0] == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("conjecture1", "--max-spin", "0"),
+        ("conjecture1", "--max-spin", "-2"),
+        ("appendix", "--max-spin", "0"),
+        ("oracle", "--max-length", "1"),
+        ("conjecture1", "--length", "1"),
+        ("oracle", "--length", "1"),
+    ],
+)
+def test_verify_empty_grid_exits_2(capsys, argv):
+    code, out, _ = run_cli(capsys, "verify", *argv)
+    assert code == 2
+    assert out == ""
+
+
 def test_spin_zero_message(capsys):
     _, _, err = run_cli(capsys, "spectrum", "--spin", "0")
     assert "bulk spin must be a positive integer" in err

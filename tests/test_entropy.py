@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from akltblock.entropy import InvalidSpectrumError, entropy_report, renyi, von_neumann
+from akltblock.entropy import InvalidSpectrumError, renyi, von_neumann
 from akltblock.spectrum import BlockSpectrum, block_spectrum, saturation_value
 
 
@@ -91,15 +91,3 @@ def test_invalid_spectra_are_rejected():
         renyi(block_spectrum(1, 2), 0.0)
     with pytest.raises(ValueError):
         renyi(block_spectrum(1, 2), -1.5)
-
-
-def test_entropy_report_fields():
-    spec = block_spectrum(1, 6)
-    report = entropy_report(spec, alphas=(0.5, 2.0))
-    assert (report.S, report.L) == (1, 6)
-    assert report.von_neumann == von_neumann(spec)
-    assert report.renyi == ((0.5, renyi(spec, 0.5)), (2.0, renyi(spec, 2.0)))
-    assert report.saturation_gap == pytest.approx(
-        saturation_value(1) - report.von_neumann, abs=1e-15
-    )
-    assert 0.0 <= report.von_neumann <= saturation_value(1)

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from akltblock.spectrum import block_spectrum
 from akltblock.verify import (
     ground_space_projector_gap,
     match_spectrum,
@@ -116,10 +117,20 @@ def test_check_records_are_serializable():
 
 
 # ---------------------------------------------------------------------------
-# ground-space projector distance (slow: dense work at 3^10)
+# ground-space projector distance (Gram form: no dense (2S+1)^L square)
 # ---------------------------------------------------------------------------
 
 def test_projector_gap_shrinks_with_block_size():
     gaps = ground_space_projector_gap(S=1, lengths=(6, 8, 10))
     assert gaps[0] > gaps[1] > gaps[2]
     assert gaps[-1] < 1e-4
+
+
+@pytest.mark.parametrize("S, lengths", [(1, (6, 8, 10)), (2, (4, 5))])
+def test_projector_gap_equals_largest_flat_deviation(S, lengths):
+    # rho_L and P/(S+1)^2 are both diagonal on the degenerate VBS states,
+    # so the spectral norm of their difference is max_J |Lambda(J) - flat|.
+    flat = Fraction(1, (S + 1) ** 2)
+    for L, gap in zip(lengths, ground_space_projector_gap(S=S, lengths=lengths)):
+        expected = max(abs(value - flat) for _, value, _ in block_spectrum(S, L).entries)
+        assert gap == pytest.approx(float(expected), rel=1e-9), (S, L)
