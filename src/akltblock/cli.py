@@ -4,6 +4,9 @@ Every run is deterministic (no clocks, no RNG): identical configurations
 produce byte-identical documents. Exact rationals are serialized as "p/q"
 strings next to float renderings so JSON numbers never lose precision.
 
+The parsed ``argparse`` namespace is the only description of a run: each
+``run_*`` function takes it and returns the document and its exit code.
+
 Exit codes: 0 success, 1 verification failure (requested methods or suites
 disagree), 2 usage error, 3 resource cap exceeded.
 """
@@ -13,8 +16,8 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import math
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import __version__
@@ -25,7 +28,7 @@ from .oracle.pauli import pauli_density_matrix_spin1
 from .spectrum import EXACT_METHODS, block_spectrum, saturation_value
 from .verify import SUITES, label_sectors, run_suite
 
-__all__ = ["RunConfig", "run_spectrum", "run_entropy", "run_verify", "main"]
+__all__ = ["run_spectrum", "run_entropy", "run_verify", "main"]
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -40,69 +43,29 @@ class UsageError(ValueError):
     """Invalid argument combination detected after parsing."""
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Fully resolved description of one run; every field is deterministic."""
-
-    command: str
-    spin: int = 1
-    lengths: tuple[int, ...] = (2,)
-    methods: tuple[str, ...] = ("recurrence",)
-    alphas: tuple[float, ...] = (0.5, 1.0, 2.0)
-    output_format: str = "json"
-    max_dim: int = DEFAULT_MAX_DIM
-    out: str | None = None
-    suite: str = "all"
-    max_spin: int = 5
-    max_length: int | None = None
-    explicit_lengths: bool = False
-
-    def as_document(self) -> dict:
-        doc = {
-            "command": self.command,
-            "spin": self.spin,
-            "format": self.output_format,
-            "max_dim": self.max_dim,
-        }
-        if self.command == "verify":
-            doc["suite"] = self.suite
-            doc["max_spin"] = self.max_spin
-            if self.max_length is not None:
-                doc["max_length"] = self.max_length
-            if self.explicit_lengths:
-                doc["lengths"] = list(self.lengths)
-        else:
-            doc["lengths"] = list(self.lengths)
-        if self.command in ("spectrum", "sweep"):
-            doc["methods"] = list(self.methods)
-        if self.command == "entropy":
-            doc["alphas"] = list(self.alphas)
-        return doc
-
-
-def _oracle_values(cfg: RunConfig, method: str, L: int) -> list[float]:
+def _oracle_values(args: argparse.Namespace, method: str, L: int) -> list[float]:
     if method == "fock_oracle":
-        return fock_block_spectrum(cfg.spin, L, max_dim=cfg.max_dim)
-    if cfg.spin != 1:
+        return fock_block_spectrum(args.spin, L, max_dim=args.max_dim)
+    if args.spin != 1:
         raise UsageError("pauli_oracle supports bulk spin 1 only")
-    return eigenspectrum(pauli_density_matrix_spin1(L), max_dim=max(cfg.max_dim, 3**7))
+    return eigenspectrum(pauli_density_matrix_spin1(L), max_dim=args.max_dim)
 
 
 _ROW_FIELDS = ("S", "L", "J", "lambda_exact", "lambda_float", "multiplicity", "method")
 
 
-def run_spectrum(cfg: RunConfig) -> tuple[dict, int]:
+def run_spectrum(args: argparse.Namespace) -> tuple[dict, int]:
     """Per-(L, J) eigenvalues for every requested method, with agreement checks."""
     rows = []
     checks = []
     failed = False
-    for L in cfg.lengths:
+    for L in args.length:
         exact = {}
-        for method in cfg.methods:
+        for method in args.method:
             if method in EXACT_METHODS:
-                exact[method] = block_spectrum(cfg.spin, L, method=method).entries
+                exact[method] = block_spectrum(args.spin, L, method=method).entries
                 for J, value, mult in exact[method]:
-                    rows.append((cfg.spin, L, J, _exact_text(value), float(value), mult, method))
+                    rows.append((args.spin, L, J, _exact_text(value), float(value), mult, method))
         if len(exact) == 2:
             agree = exact["recurrence"] == exact["closed_form"]
             failed = failed or not agree
@@ -116,13 +79,13 @@ def run_spectrum(cfg: RunConfig) -> tuple[dict, int]:
                     else "recurrence and closed form differ",
                 }
             )
-        for method in cfg.methods:
+        for method in args.method:
             if method in ORACLE_METHODS:
-                labelled, ok, detail = label_sectors(_oracle_values(cfg, method, L), cfg.spin, L)
+                labelled, ok, detail = label_sectors(_oracle_values(args, method, L), args.spin, L)
                 failed = failed or not ok
                 for J, value, mult in labelled:
                     label = method if J is not None else method + "_null_modes"
-                    rows.append((cfg.spin, L, J, None, value, mult, label))
+                    rows.append((args.spin, L, J, None, value, mult, label))
                 checks.append(
                     {
                         "suite": "spectrum",
@@ -134,7 +97,7 @@ def run_spectrum(cfg: RunConfig) -> tuple[dict, int]:
     # sorted by (S, L, J, method); S is fixed and null-mode rows come last
     rows.sort(key=lambda row: (row[1], 1 << 30 if row[2] is None else row[2], row[6]))
     results = [dict(zip(_ROW_FIELDS, row)) for row in rows]
-    return _document(cfg, results, checks), EXIT_VERIFY if failed else EXIT_OK
+    return _document(args, results, checks), EXIT_VERIFY if failed else EXIT_OK
 
 
 def _exact_text(value: Fraction) -> str:
@@ -147,17 +110,17 @@ def _exact_text(value: Fraction) -> str:
         sys.set_int_max_str_digits(limit)
 
 
-def run_entropy(cfg: RunConfig) -> tuple[dict, int]:
+def run_entropy(args: argparse.Namespace) -> tuple[dict, int]:
     """Von Neumann plus Renyi entropies per block length, in nats."""
     results = []
-    saturation = saturation_value(cfg.spin)
-    for L in cfg.lengths:
-        spec = block_spectrum(cfg.spin, L)
-        for alpha in cfg.alphas:
+    saturation = saturation_value(args.spin)
+    for L in args.length:
+        spec = block_spectrum(args.spin, L)
+        for alpha in args.alpha:
             value = renyi(spec, alpha)
             results.append(
                 {
-                    "S": cfg.spin,
+                    "S": args.spin,
                     "L": L,
                     "alpha": alpha,
                     "value": value,
@@ -165,27 +128,50 @@ def run_entropy(cfg: RunConfig) -> tuple[dict, int]:
                 }
             )
     results.sort(key=lambda row: (row["S"], row["L"], row["alpha"]))
-    return _document(cfg, results, []), EXIT_OK
+    return _document(args, results, []), EXIT_OK
 
 
-def run_verify(cfg: RunConfig) -> tuple[dict, int]:
+def run_verify(args: argparse.Namespace) -> tuple[dict, int]:
     """Run a named suite; exit 1 carries the first counterexample in checks."""
-    kwargs = {"spin": cfg.spin, "max_spin": cfg.max_spin, "max_dim": cfg.max_dim}
-    if cfg.max_length is not None:
-        kwargs["max_length"] = cfg.max_length
-    if cfg.explicit_lengths:
-        kwargs["lengths"] = list(cfg.lengths)
-        kwargs.setdefault("max_length", max(cfg.lengths))
+    kwargs = {"spin": args.spin, "max_spin": args.max_spin, "max_dim": args.max_dim}
+    if args.max_length is not None:
+        kwargs["max_length"] = args.max_length
+    if args.length is not None:
+        kwargs["lengths"] = list(args.length)
+        kwargs.setdefault("max_length", max(args.length))
     if kwargs.get("max_length", 2) < 2:
         raise UsageError(f"verify needs a max length of at least 2, got {kwargs['max_length']}")
-    checks = run_suite(cfg.suite, **kwargs)
+    checks = run_suite(args.suite, **kwargs)
     passed = all(check["passed"] for check in checks)
-    return _document(cfg, [], checks), EXIT_OK if passed else EXIT_VERIFY
+    return _document(args, [], checks), EXIT_OK if passed else EXIT_VERIFY
 
 
-def _document(cfg: RunConfig, results: list, checks: list) -> dict:
+def _config_document(args: argparse.Namespace) -> dict:
+    doc = {
+        "command": args.command,
+        "spin": args.spin,
+        "format": args.output_format,
+        "max_dim": args.max_dim,
+    }
+    if args.command == "verify":
+        doc["suite"] = args.suite
+        doc["max_spin"] = args.max_spin
+        if args.max_length is not None:
+            doc["max_length"] = args.max_length
+        if args.length is not None:
+            doc["lengths"] = list(args.length)
+    elif args.command == "entropy":
+        doc["lengths"] = list(args.length)
+        doc["alphas"] = list(args.alpha)
+    else:
+        doc["lengths"] = list(args.length)
+        doc["methods"] = list(args.method)
+    return doc
+
+
+def _document(args: argparse.Namespace, results: list, checks: list) -> dict:
     return {
-        "config": cfg.as_document(),
+        "config": _config_document(args),
         "results": results,
         "checks": checks,
         "version": __version__,
@@ -282,15 +268,17 @@ def _alpha_list(text: str) -> tuple[float, ...]:
         raise argparse.ArgumentTypeError("alpha values must be numbers") from None
     if not alphas or any(a <= 0 for a in alphas):
         raise argparse.ArgumentTypeError("alpha values must be positive")
+    if not all(math.isfinite(a) for a in alphas):
+        raise argparse.ArgumentTypeError("alpha values must be finite")
     return tuple(sorted(set(alphas) | {1.0}))
 
 
-def _add_common(parser: argparse.ArgumentParser, *, lengths_default: str) -> None:
+def _add_common(parser: argparse.ArgumentParser, *, lengths_default: str | None) -> None:
     parser.add_argument("--spin", type=_positive_spin, default=1, help="bulk spin S (positive integer)")
     parser.add_argument(
         "--length",
         type=_length_range,
-        default=_length_range(lengths_default),
+        default=lengths_default,  # argparse applies the type to a string default
         help="block length, a single integer or an inclusive range a..b",
     )
     parser.add_argument("--format", choices=("json", "csv"), default="json", dest="output_format")
@@ -330,49 +318,15 @@ def build_parser() -> argparse.ArgumentParser:
         "--alpha",
         type=_alpha_list,
         default=(0.5, 1.0, 2.0),
-        help="comma list of positive Renyi orders (1 = von Neumann, always included)",
+        help="comma list of positive finite Renyi orders (1 = von Neumann, always included)",
     )
 
     verify = commands.add_parser("verify", help="run a verification suite")
     verify.add_argument("suite", choices=sorted(SUITES) + ["all"])
-    verify.add_argument("--spin", type=_positive_spin, default=1)
+    _add_common(verify, lengths_default=None)
     verify.add_argument("--max-spin", type=_positive_spin, default=5)
-    verify.add_argument("--length", type=_length_range, default=None)
     verify.add_argument("--max-length", type=int, default=None)
-    verify.add_argument("--format", choices=("json", "csv"), default="json", dest="output_format")
-    verify.add_argument("--max-dim", type=int, default=DEFAULT_MAX_DIM)
-    verify.add_argument("--out", default=None)
     return parser
-
-
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    if args.command == "verify":
-        explicit = args.length is not None
-        return RunConfig(
-            command="verify",
-            spin=args.spin,
-            lengths=args.length if explicit else (2,),
-            explicit_lengths=explicit,
-            output_format=args.output_format,
-            max_dim=args.max_dim,
-            out=args.out,
-            suite=args.suite,
-            max_spin=args.max_spin,
-            max_length=args.max_length,
-        )
-    kwargs = {
-        "command": args.command,
-        "spin": args.spin,
-        "lengths": args.length,
-        "output_format": args.output_format,
-        "max_dim": args.max_dim,
-        "out": args.out,
-    }
-    if args.command in ("spectrum", "sweep"):
-        kwargs["methods"] = args.method
-    if args.command == "entropy":
-        kwargs["alphas"] = args.alpha
-    return RunConfig(**kwargs)
 
 
 _DISPATCH = {
@@ -389,9 +343,8 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
-    cfg = _config_from_args(args)
     try:
-        doc, code = _DISPATCH[cfg.command](cfg)
+        doc, code = _DISPATCH[args.command](args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -403,11 +356,11 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE
     text = (
         _render_json(doc)
-        if cfg.output_format == "json"
-        else _render_csv(doc, cfg.command)
+        if args.output_format == "json"
+        else _render_csv(doc, args.command)
     )
-    if cfg.out:
-        with open(cfg.out, "w", newline="") as handle:
+    if args.out:
+        with open(args.out, "w", newline="") as handle:
             handle.write(text)
     else:
         sys.stdout.write(text)

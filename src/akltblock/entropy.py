@@ -1,8 +1,8 @@
 """Entanglement entropies of a block spectrum (natural logarithms).
 
 von Neumann: -sum_J (2J+1) Lambda(J) ln Lambda(J), with 0 ln 0 := 0.
-Renyi:       (1/(1-alpha)) ln sum_J (2J+1) Lambda(J)^alpha, alpha = 1
-             dispatching to the von Neumann value.
+Renyi:       (1/(1-alpha)) ln sum_J (2J+1) Lambda(J)^alpha for finite
+             alpha > 0, alpha = 1 dispatching to the von Neumann value.
 
 Exact rational eigenvalues are converted to floats at the very last step
 (round-to-nearest, relative error below 2^-52 per entry); both entropies
@@ -12,6 +12,7 @@ saturate at 2 ln(S+1) as the block grows.
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
 
 from .spectrum import BlockSpectrum
@@ -62,12 +63,19 @@ def von_neumann(spec: BlockSpectrum) -> float:
 
 def renyi(spec: BlockSpectrum, alpha: float) -> float:
     """Renyi entropy of order alpha in nats (alpha = 1 gives von Neumann)."""
-    if not alpha > 0:
-        raise ValueError(f"Renyi order must be positive, got {alpha!r}")
+    if not (alpha > 0 and math.isfinite(alpha)):
+        raise ValueError(f"Renyi order must be positive and finite, got {alpha!r}")
     if alpha == 1:
         return von_neumann(spec)
+    weights = [(value, mult) for value, mult in _weights(spec) if value > 0.0]
     power_sum = 0.0
-    for value, mult in _weights(spec):
-        if value > 0.0:
-            power_sum += mult * value**alpha
-    return math.log(power_sum) / (1.0 - alpha)
+    for value, mult in weights:
+        power_sum += mult * value**alpha
+    if power_sum >= sys.float_info.min:
+        return math.log(power_sum) / (1.0 - alpha)
+    # Every power underflows at large alpha: factor out the largest eigenvalue.
+    top = max(value for value, _ in weights)
+    scaled_sum = 0.0
+    for value, mult in weights:
+        scaled_sum += mult * (value / top) ** alpha
+    return (alpha * math.log(top) + math.log(scaled_sum)) / (1.0 - alpha)

@@ -55,9 +55,8 @@ def eigenspectrum(mat: np.ndarray, max_dim: int = DEFAULT_MAX_DIM) -> list[float
     return [float(v) for v in values[::-1]]
 
 
-def numerical_rank(eigenvalues, dim: int | None = None, cutoff: float | None = None) -> int:
-    """Count eigenvalues above the zero cutoff (default 1e-10 * dimension)."""
+def numerical_rank(eigenvalues) -> int:
+    """Count eigenvalues above the zero cutoff 1e-10 * their number."""
     values = list(eigenvalues)
-    if cutoff is None:
-        cutoff = 1e-10 * (dim if dim is not None else len(values))
+    cutoff = 1e-10 * len(values)
     return sum(1 for v in values if v > cutoff)

@@ -261,7 +261,7 @@ def suite_oracle(
     failure = None
     for L in range(2, max_length + 1):
         observed = fock(L, L, 1)
-        rank = numerical_rank(observed, dim=len(observed))
+        rank = numerical_rank(observed)
         if rank != (S + 1) ** 2:
             failure = {"S": S, "L": L, "rank": rank, "expected": (S + 1) ** 2}
             break
@@ -284,7 +284,7 @@ def suite_oracle(
             observed = fock(L, N, start)
             deviation = _spectra_close(reference, observed)
             worst = max(worst, deviation)
-            if deviation > _MATCH_TOL:
+            if failure is None and deviation > _MATCH_TOL:
                 failure = {"S": S, "L": L, "N": N, "start": start, "deviation": deviation}
     checks.append(
         _check(
@@ -297,7 +297,7 @@ def suite_oracle(
     )
 
     if S == 1:
-        checks.extend(_pauli_checks(max_length, fock))
+        checks.extend(_pauli_checks(max_length, max_dim, fock))
         gap_lengths = [L for L in (6, 8, 10) if L <= max_length]
         if len(gap_lengths) >= 2:
             gaps = ground_space_projector_gap(S=1, lengths=gap_lengths)
@@ -328,13 +328,13 @@ def suite_oracle(
     return checks
 
 
-def _pauli_checks(max_length: int, fock) -> list[dict]:
+def _pauli_checks(max_length: int, max_dim: int, fock) -> list[dict]:
     """Spin-1 Pauli-string checks; ``fock(L, N, start)`` gives Fock spectra."""
     checks = []
 
     @lru_cache(maxsize=None)
     def pauli(L: int) -> list[float]:
-        return eigenspectrum(pauli_density_matrix_spin1(L), max_dim=3**7)
+        return eigenspectrum(pauli_density_matrix_spin1(L), max_dim=max_dim)
 
     failure = None
     detail = ""
@@ -391,7 +391,7 @@ def _pauli_checks(max_length: int, fock) -> list[dict]:
     for L in range(2, min(max_length, 5) + 1):
         residual = pauli_channel_identity_check(L)
         worst = max(worst, residual)
-        if residual > 1e-13:
+        if failure is None and residual > 1e-13:
             failure = {"L": L, "residual": residual}
     checks.append(
         _check(
@@ -408,7 +408,7 @@ def _pauli_checks(max_length: int, fock) -> list[dict]:
     for L in range(2, min(max_length, 6) + 1):
         deviation = _spectra_close(fock(L, L, 1), pauli(L))
         worst = max(worst, deviation)
-        if deviation > _ZERO_TOL:
+        if failure is None and deviation > _ZERO_TOL:
             failure = {"L": L, "deviation": deviation}
     checks.append(
         _check(
@@ -579,7 +579,7 @@ def suite_appendix(max_spin: int = 2) -> list[dict]:
         rebuilt = correlator_reconstruction(full, 1, L)
         deviation = float(np.abs(traced - rebuilt).max())
         worst = max(worst, deviation)
-        if deviation > 1e-10:
+        if failure is None and deviation > 1e-10:
             failure = {"S": 1, "L": L, "deviation": deviation}
     checks.append(
         _check(
@@ -598,7 +598,7 @@ def suite_appendix(max_spin: int = 2) -> list[dict]:
             for M in range(-J, J + 1):
                 residual = partial_inner_identity_check(S, 2, J, M)
                 worst = max(worst, residual)
-                if residual > 1e-10:
+                if failure is None and residual > 1e-10:
                     failure = {"S": S, "L": 2, "J": J, "M": M, "residual": residual}
     checks.append(
         _check(
@@ -618,21 +618,21 @@ def suite_appendix(max_spin: int = 2) -> list[dict]:
         states = degenerate_states(S, L)
         for (J, M), state in states.items():
             residuals = total_spin_checks(state)
-            worst = max(worst, residuals["sz_residual"], residuals["casimir_residual"])
-            if worst > 1e-9:
+            residual = max(residuals["sz_residual"], residuals["casimir_residual"])
+            worst = max(worst, residual)
+            if failure is None and residual > 1e-9:
                 failure = {"S": S, "L": L, "J": J, "M": M, **residuals}
-                break
         for J in range(1, S + 1):
             for M in range(-J, J):
                 residual = ladder_residual(states[(J, M)], states[(J, M + 1)])
                 worst = max(worst, residual)
-                if residual > 1e-9:
+                if failure is None and residual > 1e-9:
                     failure = {"S": S, "L": L, "J": J, "M": M, "ladder": residual}
-        if apply_spin_raising(states[(S, S)]).amps:
+        if failure is None and apply_spin_raising(states[(S, S)]).amps:
             failure = {"S": S, "L": L, "J": S, "M": S, "detail": "top state not annihilated"}
-        if apply_spin_raising(states[(0, 0)]).amps or apply_spin_lowering(
-            states[(0, 0)]
-        ).amps:
+        if failure is None and (
+            apply_spin_raising(states[(0, 0)]).amps or apply_spin_lowering(states[(0, 0)]).amps
+        ):
             failure = {"S": S, "L": L, "J": 0, "M": 0, "detail": "singlet not annihilated"}
     checks.append(
         _check(

@@ -282,15 +282,24 @@ def test_verify_empty_grid_exits_2(capsys, argv):
     assert out == ""
 
 
+@pytest.mark.parametrize("alpha", ["inf", "nan", "0.5,inf"])
+def test_non_finite_alpha_exits_2(capsys, alpha):
+    code, out, err = run_cli(capsys, "entropy", "--spin", "1", "--alpha", alpha)
+    assert code == 2
+    assert out == ""
+    assert "alpha values must be finite" in err
+
+
 def test_spin_zero_message(capsys):
     _, _, err = run_cli(capsys, "spectrum", "--spin", "0")
     assert "bulk spin must be a positive integer" in err
 
 
-def test_resource_cap_exits_3(capsys):
+@pytest.mark.parametrize("method", ["fock_oracle", "pauli_oracle"])
+def test_resource_cap_exits_3(capsys, method):
     code, _, err = run_cli(
         capsys, "spectrum", "--spin", "1", "--length", "3",
-        "--method", "fock_oracle", "--max-dim", "10",
+        "--method", method, "--max-dim", "10",
     )
     assert code == 3
     assert "cap" in err

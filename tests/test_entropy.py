@@ -91,3 +91,15 @@ def test_invalid_spectra_are_rejected():
         renyi(block_spectrum(1, 2), 0.0)
     with pytest.raises(ValueError):
         renyi(block_spectrum(1, 2), -1.5)
+    for alpha in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="finite"):
+            renyi(block_spectrum(1, 2), alpha)
+
+
+@pytest.mark.parametrize("S, L, alpha", [(1, 2, 1000.0), (3, 7, 500.0), (5, 10, 700.0), (40, 2, 200.0)])
+def test_renyi_large_order_matches_exact_power_sum(S, L, alpha):
+    # every Lambda(J)**alpha underflows a float here; the exact power sum does not
+    spec = block_spectrum(S, L)
+    power_sum = sum(mult * value ** int(alpha) for _, value, mult in spec.entries)
+    expected = (math.log(power_sum.numerator) - math.log(power_sum.denominator)) / (1 - alpha)
+    assert renyi(spec, alpha) == pytest.approx(expected, rel=1e-14)

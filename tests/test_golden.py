@@ -2,9 +2,10 @@
 
 Each invocation runs in-process in both formats and its stdout is hashed.
 Exact documents are hashed byte for byte. Documents carrying oracle floats
-are canonicalised first: ``lambda_float`` is rounded to 10 decimals (far
-below the 1e-9 match tolerance) and e-notation floats in check details are
-masked, because those last bits depend on the BLAS build and thread count.
+are canonicalised first: ``lambda_float`` and the entropy ``value`` and
+``saturation_gap`` are rounded to 10 decimals (far below the 1e-9 match
+tolerance) and e-notation floats in check details are masked, because those
+last bits depend on the BLAS build, the thread count and the libm.
 """
 
 import csv
@@ -18,6 +19,7 @@ import pytest
 from akltblock.cli import main
 
 _FLOAT_DECIMALS = 10
+_ROUNDED = ("lambda_float", "value", "saturation_gap")
 _DETAIL_FLOAT = re.compile(r"-?\d\.\d+e[-+]\d+")
 
 # (argv, canonicalise): digests for "json" and "csv" are listed in GOLDEN.
@@ -27,6 +29,8 @@ GRID = (
     (("verify", "conjecture1", "--max-spin", "3", "--max-length", "10"), False),
     (("spectrum", "--spin", "1", "--length", "2..5", "--method", "fock_oracle,pauli_oracle"), True),
     (("verify", "all"), True),
+    (("entropy", "--spin", "2", "--length", "4..6", "--alpha", "0.5,2"), True),
+    (("verify", "hamiltonian", "--spin", "1", "--length", "2..3", "--max-length", "3"), True),
 )
 
 GOLDEN = {
@@ -50,6 +54,14 @@ GOLDEN = {
         "f0c801619f01311433dcb9032aa30b2b4ce1f9126b8ba07a63005f35125ce7c1",
     "verify all --format csv":
         "ea2fcec9ea63beeb684e609d5c1f891ff416de53578ced3f0072d0db50776475",
+    "entropy --spin 2 --length 4..6 --alpha 0.5,2 --format json":
+        "82b1b5d32c1bf82abfbb4637a6d82c1365828a32ccac7425b83bffc0490e7cbc",
+    "entropy --spin 2 --length 4..6 --alpha 0.5,2 --format csv":
+        "0f90348a8daf192d0beb9ac9aae28c38136694190e8059fe471a70fca61c6dee",
+    "verify hamiltonian --spin 1 --length 2..3 --max-length 3 --format json":
+        "58feaaa9c72ad9bcc4c7af0f90f3b589c736f3574d7322ef8e5301f4c9de89c4",
+    "verify hamiltonian --spin 1 --length 2..3 --max-length 3 --format csv":
+        "011f5bc082b3f1a24a93a225ba12e721f1d55d4d26002cd65003f0ab98d62a3c",
 }
 
 
@@ -60,7 +72,9 @@ def _round(value) -> float:
 def _canonical_json(text: str) -> str:
     doc = json.loads(text)
     for row in doc["results"]:
-        row["lambda_float"] = _round(row["lambda_float"])
+        for name in _ROUNDED:
+            if name in row:
+                row[name] = _round(row[name])
     for check in doc["checks"]:
         check["detail"] = _DETAIL_FLOAT.sub("<float>", check["detail"])
     return json.dumps(doc, indent=2) + "\n"
@@ -73,8 +87,9 @@ def _canonical_csv(text: str) -> str:
     writer.writerow(header)
     for row in rows:
         record = dict(zip(header, row))
-        if "lambda_float" in record:
-            record["lambda_float"] = repr(_round(record["lambda_float"]))
+        for name in _ROUNDED:
+            if name in record:
+                record[name] = repr(_round(record[name]))
         if "detail" in record:
             record["detail"] = _DETAIL_FLOAT.sub("<float>", record["detail"])
         writer.writerow([record[name] for name in header])

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from akltblock import verify
 from akltblock.spectrum import block_spectrum
 from akltblock.verify import (
     ground_space_projector_gap,
@@ -114,6 +115,54 @@ def test_check_records_are_serializable():
         assert isinstance(record["name"], str)
         assert isinstance(record["passed"], bool)
         assert isinstance(record["detail"], str)
+
+
+# ---------------------------------------------------------------------------
+# a failing check names its first failing cell, however many cells follow
+# ---------------------------------------------------------------------------
+
+def _counterexample(checks, name):
+    record = next(c for c in checks if c["name"] == name)
+    assert not record["passed"]
+    return record["counterexample"]
+
+
+def test_oracle_checks_report_first_counterexample(monkeypatch):
+    monkeypatch.setattr(verify, "_spectra_close", lambda a, b: 1.0)
+    monkeypatch.setattr(verify, "pauli_channel_identity_check", lambda L: 1.0)
+    checks = suite_oracle(spin=1, max_length=3)
+    position = _counterexample(checks, "position_and_size_independence")
+    assert (position["N"], position["start"]) == (2, 1)
+    assert _counterexample(checks, "pauli_channel_identity")["L"] == 2
+    assert _counterexample(checks, "pauli_equals_fock")["L"] == 2
+
+
+def test_appendix_checks_report_first_counterexample(monkeypatch):
+    real_total_spin_checks = verify.total_spin_checks
+
+    def total_spin_checks(state):
+        residuals = real_total_spin_checks(state)
+        # cell (S, L, J, M); the site spins are stored doubled
+        if (state.spins[0] // 2, len(state.spins), *state.sector) in {(1, 3, 1, 0), (1, 3, 1, 1)}:
+            residuals["casimir_residual"] = 1.0
+        return residuals
+
+    monkeypatch.setattr(verify, "total_spin_checks", total_spin_checks)
+    monkeypatch.setattr(
+        verify, "partial_inner_identity_check", lambda S, L, J, M: 1.0 if J == 1 else 0.0
+    )
+    monkeypatch.setattr(
+        verify,
+        "correlator_reconstruction",
+        lambda state, start, length: verify.reduced_density_matrix(state, start, length) + 1.0,
+    )
+    checks = suite_appendix(max_spin=2)
+    assert _counterexample(checks, "correlator_reconstruction")["L"] == 2
+    inner = _counterexample(checks, "partial_inner_identity")
+    assert (inner["S"], inner["J"], inner["M"]) == (1, 1, -1)
+    spin = _counterexample(checks, "total_spin_quantum_numbers")
+    assert (spin["S"], spin["L"], spin["J"], spin["M"]) == (1, 3, 1, 0)
+    assert spin["casimir_residual"] == 1.0
 
 
 # ---------------------------------------------------------------------------
