@@ -26,7 +26,7 @@ from .oracle.dense import DEFAULT_MAX_DIM, ResourceCapError, eigenspectrum
 from .oracle.fock import fock_block_spectrum
 from .oracle.pauli import pauli_density_matrix_spin1
 from .spectrum import EXACT_METHODS, block_spectrum, saturation_value
-from .verify import SUITES, label_sectors, run_suite
+from .verify import SUITES, _Check, label_sectors, run_suite
 
 __all__ = ["run_spectrum", "run_entropy", "run_verify", "main"]
 
@@ -58,7 +58,6 @@ def run_spectrum(args: argparse.Namespace) -> tuple[dict, int]:
     """Per-(L, J) eigenvalues for every requested method, with agreement checks."""
     rows = []
     checks = []
-    failed = False
     for L in args.length:
         exact = {}
         for method in args.method:
@@ -67,37 +66,29 @@ def run_spectrum(args: argparse.Namespace) -> tuple[dict, int]:
                 for J, value, mult in exact[method]:
                     rows.append((args.spin, L, J, _exact_text(value), float(value), mult, method))
         if len(exact) == 2:
-            agree = exact["recurrence"] == exact["closed_form"]
-            failed = failed or not agree
+            agreement = _Check("spectrum", f"formula_agreement_L{L}")
+            agreement.cell(exact["recurrence"] != exact["closed_form"])
             checks.append(
-                {
-                    "suite": "spectrum",
-                    "name": f"formula_agreement_L{L}",
-                    "passed": agree,
-                    "detail": "recurrence and closed form are exactly equal"
-                    if agree
-                    else "recurrence and closed form differ",
-                }
+                agreement.record(
+                    "recurrence and closed form are exactly equal"
+                    if agreement.passed
+                    else "recurrence and closed form differ"
+                )
             )
         for method in args.method:
             if method in ORACLE_METHODS:
                 labelled, ok, detail = label_sectors(_oracle_values(args, method, L), args.spin, L)
-                failed = failed or not ok
                 for J, value, mult in labelled:
                     label = method if J is not None else method + "_null_modes"
                     rows.append((args.spin, L, J, None, value, mult, label))
-                checks.append(
-                    {
-                        "suite": "spectrum",
-                        "name": f"{method}_agreement_L{L}",
-                        "passed": ok,
-                        "detail": detail + " (reference: recurrence)",
-                    }
-                )
+                agreement = _Check("spectrum", f"{method}_agreement_L{L}")
+                agreement.cell(not ok)
+                checks.append(agreement.record(detail + " (reference: recurrence)"))
     # sorted by (S, L, J, method); S is fixed and null-mode rows come last
     rows.sort(key=lambda row: (row[1], 1 << 30 if row[2] is None else row[2], row[6]))
     results = [dict(zip(_ROW_FIELDS, row)) for row in rows]
-    return _document(args, results, checks), EXIT_VERIFY if failed else EXIT_OK
+    passed = all(check["passed"] for check in checks)
+    return _document(args, results, checks), EXIT_OK if passed else EXIT_VERIFY
 
 
 def _exact_text(value: Fraction) -> str:

@@ -27,13 +27,22 @@ class InvalidSpectrumError(ValueError):
     """The spectrum does not look like a density-matrix spectrum."""
 
 
-def _weights(spec: BlockSpectrum) -> list[tuple[float, int]]:
+# The last spectrum _weights validated and its weights. BlockSpectrum is
+# frozen and this reference keeps its identity from being reused, so several
+# entropies of one spectrum (one per Renyi order) validate it once.
+_validated: tuple[BlockSpectrum | None, tuple[tuple[float, int], ...]] = (None, ())
+
+
+def _weights(spec: BlockSpectrum) -> tuple[tuple[float, int], ...]:
     """Validate the spectrum and return (eigenvalue, multiplicity) floats.
 
     Exact entries must sum to exactly 1 and be non-negative; float entries
     must sum to 1 within 1e-12 and may dip to -1e-10 (oracle zero padding),
     in which case they are clamped to zero.
     """
+    global _validated
+    if _validated[0] is spec:
+        return _validated[1]
     exact = all(isinstance(value, (Fraction, int)) for _, value, _ in spec.entries)
     weights: list[tuple[float, int]] = []
     for _, value, mult in spec.entries:
@@ -49,7 +58,8 @@ def _weights(spec: BlockSpectrum) -> list[tuple[float, int]]:
             raise InvalidSpectrumError(f"exact spectrum has trace {trace}, expected 1")
     elif abs(float(trace) - 1.0) > _TRACE_TOL:
         raise InvalidSpectrumError(f"spectrum trace {float(trace)} is not 1 within {_TRACE_TOL}")
-    return weights
+    _validated = (spec, tuple(weights))
+    return _validated[1]
 
 
 def von_neumann(spec: BlockSpectrum) -> float:

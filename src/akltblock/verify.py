@@ -1,9 +1,13 @@
 """Verification suites: formula-vs-formula and formula-vs-oracle checks.
 
-Each suite returns a list of check records — plain dicts with keys
-``suite``, ``name``, ``passed``, ``detail`` and, on failure, a
-``counterexample`` dict carrying the offending (S, L, J) cell and both
-values. The CLI serializes these verbatim; tests assert on ``passed``.
+Each suite returns a list of check records — plain dicts
+``{suite, name, passed, detail, counterexample?}``. Every record comes from
+one accumulator, ``_Check``, fed one (S, L, J, ...) cell at a time with the
+cell's deviation and tolerance: the first cell over its tolerance becomes
+the ``counterexample`` (its cell coordinates and values), which appears only
+on failure, and the running maximum ``worst`` feeds the detail text. The
+CLI builds its own agreement records with the same accumulator and
+serializes all of them verbatim; tests assert on ``passed``.
 """
 
 from __future__ import annotations
@@ -66,21 +70,56 @@ _MATCH_TOL = 1e-9
 _ZERO_TOL = 1e-10
 
 
-def _check(suite: str, name: str, passed: bool, detail: str, counterexample=None) -> dict:
-    record = {"suite": suite, "name": name, "passed": bool(passed), "detail": detail}
-    if counterexample is not None:
-        record["counterexample"] = counterexample
-    return record
+class _Check:
+    """One check record, fed one cell at a time.
+
+    ``cell(deviation, tol, **where)`` fails the cell when ``deviation > tol``;
+    the ``where`` of the first failing cell becomes the counterexample. A
+    numeric deviation (float or exact Fraction) also feeds ``worst``, the
+    running maximum. A pass/fail cell feeds ``not ok`` against the default
+    tolerance 0 and leaves ``worst`` alone. ``deviation`` and ``tol`` are
+    positional-only because cells may carry a ``deviation`` key of their own.
+    """
+
+    def __init__(self, suite: str, name: str) -> None:
+        self.suite = suite
+        self.name = name
+        self.worst = 0.0
+        self.counterexample: dict | None = None
+
+    @property
+    def passed(self) -> bool:
+        return self.counterexample is None
+
+    def cell(self, deviation, tol=0, /, **where) -> bool:
+        """Feed one cell; returns whether it is within its tolerance."""
+        if not isinstance(deviation, bool):
+            self.worst = max(self.worst, deviation)
+        failed = deviation > tol
+        if failed and self.counterexample is None:
+            self.counterexample = where
+        return not failed
+
+    def record(self, detail: str) -> dict:
+        """The check record; a failing cell with no coordinates adds no counterexample."""
+        record = {"suite": self.suite, "name": self.name, "passed": self.passed, "detail": detail}
+        if self.counterexample:
+            record["counterexample"] = self.counterexample
+        return record
 
 
 def _greedy_match(
     observed: Sequence[float], expected: Sequence[tuple[int, Fraction | float]]
-) -> tuple[list[tuple[int, float, list[float]]], list[float]]:
+) -> tuple[list[tuple[int, float, list[float], bool]], list[float]]:
     """Greedy nearest-value consumption of the observed eigenvalues.
 
     In descending order of Lambda(J), each sector claims the 2J+1 closest
     unclaimed observed values (fewer if they run out). Returns the
-    (J, target, claimed values) triples in that order and the unclaimed rest.
+    (J, target, claimed values, short) tuples in that order and the unclaimed
+    rest; ``short`` marks a sector that ran out of values. A sector whose
+    exact value is 0 is never short: a block with fewer than (S+1)^2 states,
+    such as one site (2S+1 states, Lambda(J < S) = 0 at L = 1), simply has
+    no room for those null directions.
     """
     remaining = list(observed)
     claims = []
@@ -92,7 +131,7 @@ def _greedy_match(
                 break
             best = min(range(len(remaining)), key=lambda i: abs(remaining[i] - target))
             claimed.append(remaining.pop(best))
-        claims.append((J, target, claimed))
+        claims.append((J, target, claimed, lam != 0 and len(claimed) < 2 * J + 1))
     return claims, remaining
 
 
@@ -110,7 +149,7 @@ def match_spectrum(
     """
     claims, remaining = _greedy_match(observed, expected)
     worst_match = 0.0
-    for J, target, claimed in claims:
+    for J, target, claimed, short in claims:
         for value in claimed:
             deviation = abs(value - target)
             if deviation > tol:
@@ -120,7 +159,7 @@ def match_spectrum(
                     f"{value!r} (|diff|={deviation:.3e} > {tol})",
                 )
             worst_match = max(worst_match, deviation)
-        if len(claimed) < 2 * J + 1:
+        if short:
             return False, f"ran out of eigenvalues while matching J={J}"
     worst_leftover = max((abs(v) for v in remaining), default=0.0)
     if worst_leftover > zero_tol:
@@ -142,8 +181,8 @@ def label_sectors(
     claims, leftovers = _greedy_match(observed, _formula_entries(S, L))
     rows = []
     notes = []
-    for J, target, claimed in claims:
-        if len(claimed) < 2 * J + 1:
+    for J, target, claimed, short in claims:
+        if short:
             notes.append(f"ran out of eigenvalues at J={J}")
         if not claimed:
             continue
@@ -174,46 +213,24 @@ def suite_conjecture1(max_spin: int = 5, max_length: int = 30) -> list[dict]:
     is compared whole with the closed-form spectrum of the same cell.
     """
     checks = []
-    trace_failure = None
+    trace = _Check("conjecture1", "trace_law")
     for S in range(1, max_spin + 1):
-        counterexample = None
+        routes = _Check("conjecture1", f"recurrence_equals_closed_spin{S}")
         for L in range(1, max_length + 1):
             spec = block_spectrum(S, L)
-            if trace_failure is None and spec.trace() != 1:
-                trace_failure = {"S": S, "L": L, "trace": str(spec.trace())}
-            if counterexample is not None or L < 2:
+            total = spec.trace()
+            trace.cell(total != 1, S=S, L=L, trace=str(total))
+            if not routes.passed or L < 2:
                 continue
             closed = block_spectrum(S, L, "closed_form")
-            if closed.entries != spec.entries:
-                J, rec, other = next(
-                    (J, rec, other)
-                    for (J, rec, _), (_, other, _) in zip(spec.entries, closed.entries)
-                    if rec != other
-                )
-                counterexample = {
-                    "S": S,
-                    "L": L,
-                    "J": J,
-                    "recurrence": str(rec),
-                    "closed_form": str(other),
-                }
-        checks.append(
-            _check(
-                "conjecture1",
-                f"recurrence_equals_closed_spin{S}",
-                counterexample is None,
-                f"exact equality over L=2..{max_length}, J=0..{S}",
-                counterexample,
-            )
-        )
+            for (J, rec, _), (_, other, _) in zip(spec.entries, closed.entries):
+                if not routes.cell(
+                    rec != other, S=S, L=L, J=J, recurrence=str(rec), closed_form=str(other)
+                ):
+                    break
+        checks.append(routes.record(f"exact equality over L=2..{max_length}, J=0..{S}"))
     checks.append(
-        _check(
-            "conjecture1",
-            "trace_law",
-            trace_failure is None,
-            f"sum_J (2J+1) Lambda(J) == 1 exactly, S<={max_spin}, L<={max_length}",
-            trace_failure,
-        )
+        trace.record(f"sum_J (2J+1) Lambda(J) == 1 exactly, S<={max_spin}, L<={max_length}")
     )
     return checks
 
@@ -240,91 +257,55 @@ def suite_oracle(
     def fock(L: int, N: int, start: int) -> list[float]:
         return fock_block_spectrum(S, L, N=N, start=start, max_dim=max_dim)
 
-    failure = None
+    match = _Check("oracle", "fock_spectrum_matches_formula")
     detail = ""
     for L in range(2, max_length + 1):
-        observed = fock(L, L, 1)
-        ok, detail = match_spectrum(observed, _formula_entries(S, L))
-        if not ok:
-            failure = {"S": S, "L": L, "detail": detail}
+        ok, detail = match_spectrum(fock(L, L, 1), _formula_entries(S, L))
+        if not match.cell(not ok, S=S, L=L, detail=detail):
             break
-    checks.append(
-        _check(
-            "oracle",
-            "fock_spectrum_matches_formula",
-            failure is None,
-            f"S={S}, L=2..{max_length}: " + detail,
-            failure,
-        )
-    )
+    checks.append(match.record(f"S={S}, L=2..{max_length}: " + detail))
 
-    failure = None
+    rank_law = _Check("oracle", "rank_law")
     for L in range(2, max_length + 1):
-        observed = fock(L, L, 1)
-        rank = numerical_rank(observed)
-        if rank != (S + 1) ** 2:
-            failure = {"S": S, "L": L, "rank": rank, "expected": (S + 1) ** 2}
+        rank = numerical_rank(fock(L, L, 1))
+        if not rank_law.cell(rank != (S + 1) ** 2, S=S, L=L, rank=rank, expected=(S + 1) ** 2):
             break
     checks.append(
-        _check(
-            "oracle",
-            "rank_law",
-            failure is None,
-            f"numerical rank of rho equals (S+1)^2 for S={S}, L=2..{max_length}",
-            failure,
-        )
+        rank_law.record(f"numerical rank of rho equals (S+1)^2 for S={S}, L=2..{max_length}")
     )
 
     L = 2
     reference = fock(L, L, 1)
-    failure = None
-    worst = 0.0
+    position = _Check("oracle", "position_and_size_independence")
     for N in (L, L + 1, L + 2):
         for start in range(1, N - L + 2):
-            observed = fock(L, N, start)
-            deviation = _spectra_close(reference, observed)
-            worst = max(worst, deviation)
-            if failure is None and deviation > _MATCH_TOL:
-                failure = {"S": S, "L": L, "N": N, "start": start, "deviation": deviation}
+            deviation = _spectra_close(reference, fock(L, N, start))
+            position.cell(deviation, _MATCH_TOL, S=S, L=L, N=N, start=start, deviation=deviation)
     checks.append(
-        _check(
-            "oracle",
-            "position_and_size_independence",
-            failure is None,
-            f"block spectrum independent of N and block position (max dev {worst:.3e})",
-            failure,
+        position.record(
+            f"block spectrum independent of N and block position (max dev {position.worst:.3e})"
         )
     )
 
     if S == 1:
         checks.extend(_pauli_checks(max_length, max_dim, fock))
+        gap = _Check("oracle", "ground_space_projector_gap")
         gap_lengths = [L for L in (6, 8, 10) if L <= max_length]
-        if len(gap_lengths) >= 2:
-            gaps = ground_space_projector_gap(S=1, lengths=gap_lengths)
-            shrinking = all(a > b for a, b in zip(gaps, gaps[1:]))
-            small_enough = gaps[-1] < 1e-4 if gap_lengths[-1] >= 10 else True
-            passed = shrinking and small_enough
-            checks.append(
-                _check(
-                    "oracle",
-                    "ground_space_projector_gap",
-                    passed,
-                    "||rho_L - P/(S+1)^2||_2 at L="
-                    + ",".join(map(str, gap_lengths))
-                    + ": "
-                    + ", ".join(f"{g:.3e}" for g in gaps),
-                    None if passed else {"lengths": gap_lengths, "gaps": gaps},
-                )
+        if len(gap_lengths) < 2:
+            checks.append(gap.record("skipped (needs --max-length >= 8)"))
+            return checks
+        gaps = ground_space_projector_gap(S=1, lengths=gap_lengths)
+        shrinking = all(a > b for a, b in zip(gaps, gaps[1:]))
+        small_enough = gap_lengths[-1] < 10 or gaps[-1] < 1e-4
+        gap.cell(not (shrinking and small_enough), lengths=gap_lengths, gaps=gaps)
+        checks.append(
+            gap.record(
+                "||rho_L - P/(S+1)^2||_2 at L="
+                + ",".join(map(str, gap_lengths))
+                + ": "
+                + ", ".join(f"{g:.3e}" for g in gaps)
             )
-        else:
-            checks.append(
-                _check(
-                    "oracle",
-                    "ground_space_projector_gap",
-                    True,
-                    "skipped (needs --max-length >= 8)",
-                )
-            )
+        )
     return checks
 
 
@@ -336,87 +317,55 @@ def _pauli_checks(max_length: int, max_dim: int, fock) -> list[dict]:
     def pauli(L: int) -> list[float]:
         return eigenspectrum(pauli_density_matrix_spin1(L), max_dim=max_dim)
 
-    failure = None
+    match = _Check("oracle", "pauli_spectrum_matches_formula")
     detail = ""
     for L in range(2, min(max_length, 7) + 1):
         ok, detail = match_spectrum(pauli(L), _formula_entries(1, L), tol=_ZERO_TOL)
-        if not ok:
-            failure = {"S": 1, "L": L, "detail": detail}
+        if not match.cell(not ok, S=1, L=L, detail=detail):
             break
-    checks.append(
-        _check(
-            "oracle",
-            "pauli_spectrum_matches_formula",
-            failure is None,
-            f"L=2..{min(max_length, 7)}: " + detail,
-            failure,
-        )
-    )
+    checks.append(match.record(f"L=2..{min(max_length, 7)}: " + detail))
 
-    failure = None
-    worst = 0.0
+    ground = _Check("oracle", "pauli_ground_states")
     for L in range(2, min(max_length, 5) + 1):
         states = [pauli_ground_states_spin1(L, alpha) for alpha in range(4)]
         sign = 3.0 if L % 2 == 0 else -3.0
         expected = [(3**L + sign) / 4.0] + [(3**L - sign / 3.0) / 4.0] * 3
-        for g, norm_sq in zip(states, expected):
-            worst = max(worst, abs(float(np.vdot(g, g).real) - norm_sq))
+        deviations = [
+            abs(float(np.vdot(g, g).real) - norm_sq) for g, norm_sq in zip(states, expected)
+        ]
         gram_off = max(
             abs(np.vdot(states[i], states[j]))
             for i in range(4)
             for j in range(4)
             if i != j
         )
-        worst = max(worst, float(gram_off))
+        deviations.append(float(gram_off))
         rho = pauli_density_matrix_spin1(L)
         for alpha, g in enumerate(states):
             lam = float(eigenvalue_recurrence(1, L, 0 if alpha == 0 else 1))
-            residual = float(np.abs(rho @ g - lam * g).max())
-            worst = max(worst, residual)
-        if worst > 1e-9:
-            failure = {"S": 1, "L": L, "worst": worst}
+            deviations.append(float(np.abs(rho @ g - lam * g).max()))
+        deviation = max(deviations)
+        if not ground.cell(deviation, 1e-9, S=1, L=L, worst=deviation):
             break
     checks.append(
-        _check(
-            "oracle",
-            "pauli_ground_states",
-            failure is None,
-            f"norms, orthogonality, eigen-relation (worst dev {worst:.3e})",
-            failure,
-        )
+        ground.record(f"norms, orthogonality, eigen-relation (worst dev {ground.worst:.3e})")
     )
 
-    failure = None
-    worst = 0.0
+    channel = _Check("oracle", "pauli_channel_identity")
     for L in range(2, min(max_length, 5) + 1):
         residual = pauli_channel_identity_check(L)
-        worst = max(worst, residual)
-        if failure is None and residual > 1e-13:
-            failure = {"L": L, "residual": residual}
+        channel.cell(residual, 1e-13, L=L, residual=residual)
     checks.append(
-        _check(
-            "oracle",
-            "pauli_channel_identity",
-            failure is None,
-            f"L=2..{min(max_length, 5)}, worst residual {worst:.3e}",
-            failure,
-        )
+        channel.record(f"L=2..{min(max_length, 5)}, worst residual {channel.worst:.3e}")
     )
 
-    failure = None
-    worst = 0.0
+    routes = _Check("oracle", "pauli_equals_fock")
     for L in range(2, min(max_length, 6) + 1):
         deviation = _spectra_close(fock(L, L, 1), pauli(L))
-        worst = max(worst, deviation)
-        if failure is None and deviation > _ZERO_TOL:
-            failure = {"L": L, "deviation": deviation}
+        routes.cell(deviation, _ZERO_TOL, L=L, deviation=deviation)
     checks.append(
-        _check(
-            "oracle",
-            "pauli_equals_fock",
-            failure is None,
-            f"two oracle routes agree, L=2..{min(max_length, 6)} (max dev {worst:.3e})",
-            failure,
+        routes.record(
+            f"two oracle routes agree, L=2..{min(max_length, 6)} (max dev {routes.worst:.3e})"
         )
     )
     return checks
@@ -466,27 +415,27 @@ def suite_hamiltonian(
     lengths = list(lengths) if lengths is not None else _default_hamiltonian_lengths(S)
     checks = []
 
-    worst = 0.0
+    deviations = []
     for pair in ((2 * S, 2 * S), (S, 2 * S)):
         tjs = range(abs(pair[0] - pair[1]), pair[0] + pair[1] + 1, 2)
         total = np.zeros(((pair[0] + 1) * (pair[1] + 1),) * 2)
         for tj in tjs:
             proj = pair_projector(pair[0], pair[1], tj)
-            worst = max(worst, float(np.abs(proj @ proj - proj).max()))
-            worst = max(worst, abs(proj.trace() - (tj + 1)))
+            deviations.append(float(np.abs(proj @ proj - proj).max()))
+            deviations.append(abs(proj.trace() - (tj + 1)))
             total += proj
-        worst = max(worst, float(np.abs(total - np.eye(total.shape[0])).max()))
+        deviations.append(float(np.abs(total - np.eye(total.shape[0])).max()))
+    # One cell: its counterexample reports the worst deviation over every pair.
+    worst = max(deviations)
+    algebra = _Check("hamiltonian", "projector_algebra")
+    algebra.cell(worst, 1e-12, S=S, worst=worst)
     checks.append(
-        _check(
-            "hamiltonian",
-            "projector_algebra",
-            worst <= 1e-12,
-            f"P^2=P, tr P = 2J+1, completeness for S-S and S/2-S pairs (worst {worst:.3e})",
-            None if worst <= 1e-12 else {"S": S, "worst": worst},
+        algebra.record(
+            f"P^2=P, tr P = 2J+1, completeness for S-S and S/2-S pairs (worst {worst:.3e})"
         )
     )
 
-    failure = None
+    ground = _Check("hamiltonian", "block_ground_space")
     info = []
     for L in lengths:
         if (2 * S + 1) ** L > max_dim:
@@ -499,26 +448,18 @@ def suite_hamiltonian(
             for state in degenerate_states(S, L).values()
         )
         info.append(f"L={L}: null dim {dim_null}, residual {residual:.1e}")
-        if dim_null != (S + 1) ** 2 or residual > 1e-9 or lowest < -1e-10:
-            failure = {
-                "S": S,
-                "L": L,
-                "null_dimension": dim_null,
-                "expected": (S + 1) ** 2,
-                "annihilation_residual": residual,
-            }
+        if not ground.cell(
+            dim_null != (S + 1) ** 2 or residual > 1e-9 or lowest < -1e-10,
+            S=S,
+            L=L,
+            null_dimension=dim_null,
+            expected=(S + 1) ** 2,
+            annihilation_residual=residual,
+        ):
             break
-    checks.append(
-        _check(
-            "hamiltonian",
-            "block_ground_space",
-            failure is None,
-            "; ".join(info) or "no length within cap",
-            failure,
-        )
-    )
+    checks.append(ground.record("; ".join(info) or "no length within cap"))
 
-    failure = None
+    unique = _Check("hamiltonian", "unique_ground_state")
     info = []
     null_dims = {}
     for N in lengths:
@@ -532,37 +473,24 @@ def suite_hamiltonian(
         residual = float(np.linalg.norm(ham @ vbs))
         overlap = float(np.abs(basis.T @ vbs).max()) if basis.shape[1] else 0.0
         info.append(f"N={N}: null dim {basis.shape[1]}, residual {residual:.1e}")
-        if basis.shape[1] != 1 or residual > 1e-9 or abs(overlap - 1.0) > 1e-9:
-            failure = {
-                "S": S,
-                "N": N,
-                "null_dimension": basis.shape[1],
-                "annihilation_residual": residual,
-                "vbs_overlap": overlap,
-            }
+        if not unique.cell(
+            basis.shape[1] != 1 or residual > 1e-9 or abs(overlap - 1.0) > 1e-9,
+            S=S,
+            N=N,
+            null_dimension=basis.shape[1],
+            annihilation_residual=residual,
+            vbs_overlap=overlap,
+        ):
             break
-    checks.append(
-        _check(
-            "hamiltonian",
-            "unique_ground_state",
-            failure is None,
-            "; ".join(info) or "no size within cap",
-            failure,
-        )
-    )
+    checks.append(unique.record("; ".join(info) or "no size within cap"))
 
     N = lengths[0]
     # Had the cap skipped lengths[0] above, this build raises ResourceCapError.
     doubled = unique_hamiltonian(S, N, C=[2.0] * S, D=[2.0] * S, max_dim=max_dim)
-    same_null = null_space(doubled, max_dim=max_dim).shape[1] == null_dims[N]
+    rescale = _Check("hamiltonian", "coupling_rescale_invariance")
+    rescale.cell(null_space(doubled, max_dim=max_dim).shape[1] != null_dims[N], S=S, N=N)
     checks.append(
-        _check(
-            "hamiltonian",
-            "coupling_rescale_invariance",
-            same_null,
-            f"S={S}, N={N}: doubling all projector weights preserves the null space",
-            None if same_null else {"S": S, "N": N},
-        )
+        rescale.record(f"S={S}, N={N}: doubling all projector weights preserves the null space")
     )
     return checks
 
@@ -571,94 +499,69 @@ def suite_appendix(max_spin: int = 2) -> list[dict]:
     """Correlator, partial-inner-product, and total-spin identity checks."""
     checks = []
 
-    failure = None
-    worst = 0.0
+    correlator = _Check("appendix", "correlator_reconstruction")
     full = build_full_vbs(1, 3)
     for L in (2, 3):
         traced = reduced_density_matrix(full, 1, L)
         rebuilt = correlator_reconstruction(full, 1, L)
         deviation = float(np.abs(traced - rebuilt).max())
-        worst = max(worst, deviation)
-        if failure is None and deviation > 1e-10:
-            failure = {"S": 1, "L": L, "deviation": deviation}
+        correlator.cell(deviation, 1e-10, S=1, L=L, deviation=deviation)
     checks.append(
-        _check(
-            "appendix",
-            "correlator_reconstruction",
-            failure is None,
-            f"S=1, N=3, L=2..3 entrywise (worst {worst:.3e})",
-            failure,
-        )
+        correlator.record(f"S=1, N=3, L=2..3 entrywise (worst {correlator.worst:.3e})")
     )
 
-    failure = None
-    worst = 0.0
+    inner = _Check("appendix", "partial_inner_identity")
     for S in range(1, min(max_spin, 2) + 1):
         for J in range(S + 1):
             for M in range(-J, J + 1):
                 residual = partial_inner_identity_check(S, 2, J, M)
-                worst = max(worst, residual)
-                if failure is None and residual > 1e-10:
-                    failure = {"S": S, "L": 2, "J": J, "M": M, "residual": residual}
+                inner.cell(residual, 1e-10, S=S, L=2, J=J, M=M, residual=residual)
     checks.append(
-        _check(
-            "appendix",
-            "partial_inner_identity",
-            failure is None,
+        inner.record(
             f"boundary contraction identity, S<={min(max_spin, 2)}, L=2, all (J,M) "
-            f"(worst {worst:.3e})",
-            failure,
+            f"(worst {inner.worst:.3e})"
         )
     )
 
-    failure = None
-    worst = 0.0
+    spin = _Check("appendix", "total_spin_quantum_numbers")
     instances = [(1, 3)] + ([(2, 2)] if max_spin >= 2 else [])
     for S, L in instances:
         states = degenerate_states(S, L)
         for (J, M), state in states.items():
             residuals = total_spin_checks(state)
             residual = max(residuals["sz_residual"], residuals["casimir_residual"])
-            worst = max(worst, residual)
-            if failure is None and residual > 1e-9:
-                failure = {"S": S, "L": L, "J": J, "M": M, **residuals}
+            spin.cell(residual, 1e-9, S=S, L=L, J=J, M=M, **residuals)
         for J in range(1, S + 1):
             for M in range(-J, J):
                 residual = ladder_residual(states[(J, M)], states[(J, M + 1)])
-                worst = max(worst, residual)
-                if failure is None and residual > 1e-9:
-                    failure = {"S": S, "L": L, "J": J, "M": M, "ladder": residual}
-        if failure is None and apply_spin_raising(states[(S, S)]).amps:
-            failure = {"S": S, "L": L, "J": S, "M": S, "detail": "top state not annihilated"}
-        if failure is None and (
-            apply_spin_raising(states[(0, 0)]).amps or apply_spin_lowering(states[(0, 0)]).amps
-        ):
-            failure = {"S": S, "L": L, "J": 0, "M": 0, "detail": "singlet not annihilated"}
-    checks.append(
-        _check(
-            "appendix",
-            "total_spin_quantum_numbers",
-            failure is None,
-            f"S^z, Casimir, ladder and annihilation residuals (worst {worst:.3e})",
-            failure,
+                spin.cell(residual, 1e-9, S=S, L=L, J=J, M=M, ladder=residual)
+        top, singlet = states[(S, S)], states[(0, 0)]
+        spin.cell(
+            bool(apply_spin_raising(top).amps),
+            S=S, L=L, J=S, M=S, detail="top state not annihilated",
         )
+        spin.cell(
+            bool(apply_spin_raising(singlet).amps or apply_spin_lowering(singlet).amps),
+            S=S, L=L, J=0, M=0, detail="singlet not annihilated",
+        )
+    checks.append(
+        spin.record(f"S^z, Casimir, ladder and annihilation residuals (worst {spin.worst:.3e})")
     )
 
-    ok = True
+    bond = _Check("appendix", "bond_operator_commutators")
     base = valence_bond_power(vacuum(3), 0, 1, 1)
     for op in (apply_spin_raising, apply_spin_lowering, apply_spin_z):
         before = valence_bond_power(op(base), 1, 2, 2)
         after = op(valence_bond_power(base, 1, 2, 2))
-        ok = ok and states_equal_exact(before, after)
-    full_singlet = not apply_spin_raising(build_full_vbs(1, 2)).amps
+        bond.cell(not states_equal_exact(before, after), detail="exact commutator check failed")
+    bond.cell(
+        bool(apply_spin_raising(build_full_vbs(1, 2)).amps),
+        detail="exact commutator check failed",
+    )
     checks.append(
-        _check(
-            "appendix",
-            "bond_operator_commutators",
-            ok and full_singlet,
+        bond.record(
             "total-spin operators commute with valence-bond factors (exact); "
-            "full chain is a singlet",
-            None if ok and full_singlet else {"detail": "exact commutator check failed"},
+            "full chain is a singlet"
         )
     )
     return checks
@@ -666,36 +569,24 @@ def suite_appendix(max_spin: int = 2) -> list[dict]:
 
 def suite_flat_limit(max_spin: int = 5, max_length: int = 40) -> list[dict]:
     """Exponential approach of Lambda(J) to the flat value 1/(S+1)^2."""
-    failure = None
-    for S in range(1, max_spin + 1):
-        flat = Fraction(1, (S + 1) ** 2)
-        decay = abs(lambda_coeff(1, S))
-        for L in range(2, max_length + 1):
-            damping = decay ** (L - 1)
-            for J in range(S + 1):
-                bound = flat_limit_bound(S, J) * damping
-                deviation = abs(eigenvalue_recurrence(S, L, J) - flat)
-                if deviation > bound:
-                    failure = {
-                        "S": S,
-                        "L": L,
-                        "J": J,
-                        "deviation": str(deviation),
-                        "bound": str(bound),
-                    }
-                    break
-            if failure:
-                break
-        if failure:
+    check = _Check("conjecture1", "flat_limit_bound")
+    cells = (
+        (S, L, J)
+        for S in range(1, max_spin + 1)
+        for L in range(2, max_length + 1)
+        for J in range(S + 1)
+    )
+    for S, L, J in cells:
+        bound = flat_limit_bound(S, J) * abs(lambda_coeff(1, S)) ** (L - 1)
+        deviation = abs(eigenvalue_recurrence(S, L, J) - Fraction(1, (S + 1) ** 2))
+        if not check.cell(
+            deviation, bound, S=S, L=L, J=J, deviation=str(deviation), bound=str(bound)
+        ):
             break
     return [
-        _check(
-            "conjecture1",
-            "flat_limit_bound",
-            failure is None,
+        check.record(
             f"|Lambda(J) - 1/(S+1)^2| <= K(S,J) |lambda(1,S)|^(L-1), "
-            f"S<={max_spin}, L<={max_length} (exact rational comparison)",
-            failure,
+            f"S<={max_spin}, L<={max_length} (exact rational comparison)"
         )
     ]
 

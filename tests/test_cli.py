@@ -5,6 +5,7 @@ The exit-code contract: 0 success, 1 verification failure, 2 usage error,
 the same invocation (no timestamps, sorted grids).
 """
 
+import collections
 import csv
 import io
 import json
@@ -15,7 +16,7 @@ from fractions import Fraction
 import pytest
 
 from akltblock.cli import main
-from akltblock.spectrum import eigenvalue_recurrence
+from akltblock.spectrum import BlockSpectrum, eigenvalue_recurrence
 
 
 def run_cli(capsys, *argv):
@@ -68,6 +69,20 @@ def test_spectrum_oracle_method_labels_sectors(capsys):
     assert [(r["J"], r["multiplicity"]) for r in labelled] == [(0, 1), (1, 3)]
     assert labelled[0]["lambda_exact"] is None or labelled[0]["lambda_exact"] == ""
     assert labelled[0]["lambda_float"] == pytest.approx(1 / 3, abs=1e-9)
+    assert all(c["passed"] for c in doc["checks"])
+
+
+@pytest.mark.parametrize("spin", [1, 2])
+def test_fock_oracle_single_site_block(capsys, spin):
+    # One site holds 2S+1 < (S+1)^2 states; the sectors J < S it lacks have
+    # Lambda(J) = 0 exactly at L = 1, so they are not missing eigenvalues.
+    code, out, _ = run_cli(
+        capsys, "spectrum", "--spin", str(spin), "--length", "1", "--method", "fock_oracle"
+    )
+    assert code == 0
+    doc = json.loads(out)
+    assert [(r["J"], r["multiplicity"]) for r in doc["results"]] == [(spin, 2 * spin + 1)]
+    assert doc["results"][0]["lambda_float"] == pytest.approx(1 / (2 * spin + 1), abs=1e-12)
     assert all(c["passed"] for c in doc["checks"])
 
 
@@ -172,6 +187,22 @@ def test_entropy_values_and_alpha_normalization(capsys):
     assert rows[1.0]["saturation_gap"] == pytest.approx(
         2 * 0.6931471805599453 - rows[1.0]["value"], abs=1e-12
     )
+
+
+def test_entropy_validates_each_spectrum_once(capsys, monkeypatch):
+    traces = collections.Counter()
+    real_trace = BlockSpectrum.trace
+
+    def trace(spec):
+        traces[spec.L] += 1
+        return real_trace(spec)
+
+    monkeypatch.setattr(BlockSpectrum, "trace", trace)
+    code, _, _ = run_cli(
+        capsys, "entropy", "--spin", "3", "--length", "2..5", "--alpha", "0.5,2,4"
+    )
+    assert code == 0
+    assert traces == {L: 1 for L in range(2, 6)}
 
 
 def test_entropy_csv(capsys):

@@ -2,10 +2,11 @@
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from akltblock import verify
-from akltblock.spectrum import block_spectrum
+from akltblock.spectrum import BlockSpectrum, block_spectrum
 from akltblock.verify import (
     ground_space_projector_gap,
     match_spectrum,
@@ -54,6 +55,12 @@ def test_match_spectrum_flags_missing_eigenvalues():
     ok, detail = match_spectrum([1 / 3], [(0, Fraction(1, 3)), (1, Fraction(2, 9))])
     assert not ok
     assert "ran out" in detail
+
+
+def test_match_spectrum_zero_sector_may_run_out():
+    # one spin-1 site: three states of 1/3 and no room for Lambda(0) = 0
+    ok, detail = match_spectrum([1 / 3] * 3, [(0, Fraction(0)), (1, Fraction(1, 3))])
+    assert ok, detail
 
 
 def test_match_spectrum_respects_tolerances():
@@ -163,6 +170,170 @@ def test_appendix_checks_report_first_counterexample(monkeypatch):
     spin = _counterexample(checks, "total_spin_quantum_numbers")
     assert (spin["S"], spin["L"], spin["J"], spin["M"]) == (1, 3, 1, 0)
     assert spin["casimir_residual"] == 1.0
+
+
+def _perturbed(real, route, cells):
+    """``block_spectrum`` with the ``route`` value of one sector shifted per cell.
+
+    ``cells`` maps (S, L) to (J, shift).
+    """
+
+    def block_spectrum(S, L, method="recurrence"):
+        spec = real(S, L, method)
+        if method == route and (S, L) in cells:
+            J0, shift = cells[(S, L)]
+            entries = tuple((J, v + shift if J == J0 else v, m) for J, v, m in spec.entries)
+            spec = BlockSpectrum(S=S, L=L, entries=entries, method=method)
+        return spec
+
+    return block_spectrum
+
+
+def test_conjecture1_checks_report_first_counterexample(monkeypatch):
+    real = verify.block_spectrum
+    closed = _perturbed(
+        real, "closed_form",
+        {(2, 5): (1, Fraction(1, 10**9)), (2, 6): (0, 1), (3, 4): (3, Fraction(-1, 7))},
+    )
+    both = _perturbed(closed, "recurrence", {(1, 3): (0, 1), (1, 5): (1, 1), (2, 4): (0, 1)})
+    monkeypatch.setattr(verify, "block_spectrum", both)
+    checks = suite_conjecture1(max_spin=3, max_length=6)
+    assert list(_counterexample(checks, "recurrence_equals_closed_spin1").items()) == [
+        ("S", 1), ("L", 3), ("J", 0), ("recurrence", "11/9"), ("closed_form", "2/9"),
+    ]
+    assert list(_counterexample(checks, "recurrence_equals_closed_spin2").items()) == [
+        ("S", 2), ("L", 4), ("J", 0), ("recurrence", "283/250"), ("closed_form", "33/250"),
+    ]
+    assert list(_counterexample(checks, "recurrence_equals_closed_spin3").items()) == [
+        ("S", 3), ("L", 4), ("J", 3),
+        ("recurrence", "14412/300125"), ("closed_form", "-28463/300125"),
+    ]
+    assert list(_counterexample(checks, "trace_law").items()) == [
+        ("S", 1), ("L", 3), ("trace", "2"),
+    ]
+
+
+def test_flat_limit_reports_first_counterexample(monkeypatch):
+    real = verify.eigenvalue_recurrence
+    shifted = {(2, 7, 1), (2, 8, 0), (3, 3, 0)}
+    monkeypatch.setattr(
+        verify,
+        "eigenvalue_recurrence",
+        lambda S, L, J: real(S, L, J) + Fraction(1, 10) if (S, L, J) in shifted else real(S, L, J),
+    )
+    (record,) = suite_flat_limit(max_spin=3, max_length=10)
+    assert not record["passed"]
+    assert list(record["counterexample"].items()) == [
+        ("S", 2), ("L", 7), ("J", 1), ("deviation", "888281/9000000"), ("bound", "1/576"),
+    ]
+
+
+def test_fock_checks_report_first_counterexample(monkeypatch):
+    real_fock = verify.fock_block_spectrum
+    real_rank = verify.numerical_rank
+
+    def fock_block_spectrum(S, L, N, start, max_dim):
+        values = real_fock(S, L, N=N, start=start, max_dim=max_dim)
+        return [values[0] + 1e-6, *values[1:]] if L >= 3 else values
+
+    monkeypatch.setattr(verify, "fock_block_spectrum", fock_block_spectrum)
+    monkeypatch.setattr(verify, "numerical_rank", lambda ev: 3 if len(ev) >= 27 else real_rank(ev))
+    checks = suite_oracle(spin=1, max_length=4)
+    match = _counterexample(checks, "fock_spectrum_matches_formula")
+    assert list(match) == ["S", "L", "detail"]
+    assert (match["S"], match["L"]) == (1, 3)
+    assert match["detail"].startswith("J=1: expected 0.25925925925925924, closest observed ")
+    assert list(_counterexample(checks, "rank_law").items()) == [
+        ("S", 1), ("L", 3), ("rank", 3), ("expected", 4),
+    ]
+
+
+def test_pauli_ground_states_report_first_counterexample(monkeypatch):
+    real = verify.pauli_ground_states_spin1
+
+    def pauli_ground_states_spin1(L, alpha):
+        state = real(L, alpha)
+        return state * (1 + 1e-6) if (L, alpha) in {(3, 2), (4, 0)} else state
+
+    monkeypatch.setattr(verify, "pauli_ground_states_spin1", pauli_ground_states_spin1)
+    checks = suite_oracle(spin=1, max_length=4)
+    assert list(_counterexample(checks, "pauli_ground_states").items()) == [
+        ("S", 1), ("L", 3), ("worst", pytest.approx(1.4e-5, rel=1e-3)),
+    ]
+
+
+def test_hamiltonian_checks_report_first_counterexample(monkeypatch):
+    real_projector = verify.pair_projector
+    real_block = verify.block_hamiltonian
+    real_unique = verify.unique_hamiltonian
+
+    def shifted(ham):
+        return ham + 1e-3 * np.eye(ham.shape[0])
+
+    def pair_projector(two_j1, two_j2, two_jbond):
+        proj = real_projector(two_j1, two_j2, two_jbond)
+        return proj * 1.001 if two_jbond == 2 else proj
+
+    def block_hamiltonian(S, L, max_dim):
+        ham = real_block(S, L, max_dim=max_dim)
+        return shifted(ham) if L >= 3 else ham
+
+    def unique_hamiltonian(S, N, C=None, D=None, max_dim=None):
+        ham = real_unique(S, N, C=C, D=D, max_dim=max_dim)
+        return shifted(ham) if N >= 3 or C is not None else ham
+
+    monkeypatch.setattr(verify, "pair_projector", pair_projector)
+    monkeypatch.setattr(verify, "block_hamiltonian", block_hamiltonian)
+    monkeypatch.setattr(verify, "unique_hamiltonian", unique_hamiltonian)
+    checks = suite_hamiltonian(spin=1, lengths=[2, 3, 4])
+    assert list(_counterexample(checks, "projector_algebra").items()) == [
+        ("S", 1), ("worst", pytest.approx(3e-3, rel=1e-6)),
+    ]
+    assert list(_counterexample(checks, "block_ground_space").items()) == [
+        ("S", 1), ("L", 3), ("null_dimension", 0), ("expected", 4),
+        ("annihilation_residual", pytest.approx(1e-3, rel=1e-6)),
+    ]
+    assert list(_counterexample(checks, "unique_ground_state").items()) == [
+        ("S", 1), ("N", 3), ("null_dimension", 0),
+        ("annihilation_residual", pytest.approx(1e-3, rel=1e-6)), ("vbs_overlap", 0.0),
+    ]
+    assert list(_counterexample(checks, "coupling_rescale_invariance").items()) == [
+        ("S", 1), ("N", 2),
+    ]
+
+
+def test_total_spin_annihilation_failure_keeps_numeric_worst(monkeypatch):
+    # a pass/fail cell names the failing state but does not enter the worst residual
+    real = verify.apply_spin_raising
+
+    def apply_spin_raising(state):
+        return state if state.sector == (2, 2) and len(state.spins) == 2 else real(state)
+
+    monkeypatch.setattr(verify, "apply_spin_raising", apply_spin_raising)
+    checks = suite_appendix(max_spin=2)
+    assert list(_counterexample(checks, "total_spin_quantum_numbers").items()) == [
+        ("S", 2), ("L", 2), ("J", 2), ("M", 2), ("detail", "top state not annihilated"),
+    ]
+    record = next(c for c in checks if c["name"] == "total_spin_quantum_numbers")
+    assert record["detail"].endswith("(worst 0.000e+00)")
+
+
+@pytest.mark.parametrize("broken", ["commutator", "full_singlet"])
+def test_bond_operator_commutators_report_failure(monkeypatch, broken):
+    if broken == "commutator":
+        monkeypatch.setattr(verify, "states_equal_exact", lambda u, v: False)
+    else:
+        real = verify.apply_spin_raising
+        full_spins = verify.build_full_vbs(1, 2).spins
+
+        def apply_spin_raising(state):
+            return state if state.sector is None and state.spins == full_spins else real(state)
+
+        monkeypatch.setattr(verify, "apply_spin_raising", apply_spin_raising)
+    checks = suite_appendix(max_spin=1)
+    assert _counterexample(checks, "bond_operator_commutators") == {
+        "detail": "exact commutator check failed"
+    }
 
 
 # ---------------------------------------------------------------------------
