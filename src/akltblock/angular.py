@@ -68,11 +68,10 @@ def _sqrt_exact(q: Fraction) -> Fraction | None:
 class SignedSqrtRational:
     """Exact value ``sign * sqrt(square)`` with ``square`` a rational >= 0.
 
-    Closed under multiplication; squaring gives back a plain Fraction.
-    Addition is supported when both operands lie on a common radical (the
-    ratio of their squares is the square of a rational), which covers every
-    sum this package forms; adding incompatible radicals raises ValueError
-    rather than silently rounding.
+    Closed under multiplication; squaring gives back a plain Fraction. It
+    has no addition: the one exact sum this package forms, of Fock states on
+    a shared radical, is done by ``oracle.fock.linear_combine`` on the
+    rational amplitudes.
     """
 
     sign: int
@@ -111,29 +110,6 @@ class SignedSqrtRational:
         return SignedSqrtRational(self.sign * other.sign, self.square * other.square)
 
     __rmul__ = __mul__
-
-    def __neg__(self) -> "SignedSqrtRational":
-        return SignedSqrtRational(-self.sign, self.square)
-
-    def __add__(self, other):
-        if not isinstance(other, SignedSqrtRational):
-            return NotImplemented
-        if self.sign == 0:
-            return other
-        if other.sign == 0:
-            return self
-        ratio = _sqrt_exact(other.square / self.square)
-        if ratio is None:
-            raise ValueError("cannot add square roots over incompatible radicals exactly")
-        coeff = self.sign + other.sign * ratio  # value = coeff * sqrt(self.square)
-        if coeff == 0:
-            return SignedSqrtRational.zero()
-        return SignedSqrtRational(1 if coeff > 0 else -1, coeff * coeff * self.square)
-
-    def __sub__(self, other):
-        if not isinstance(other, SignedSqrtRational):
-            return NotImplemented
-        return self + (-other)
 
     def __bool__(self) -> bool:
         return self.sign != 0

@@ -21,7 +21,7 @@ import sys
 from fractions import Fraction
 
 from . import __version__
-from .entropy import InvalidSpectrumError, renyi
+from .entropy import renyi
 from .oracle.dense import DEFAULT_MAX_DIM, ResourceCapError, eigenspectrum
 from .oracle.fock import fock_block_spectrum
 from .oracle.pauli import pauli_density_matrix_spin1
@@ -342,7 +342,7 @@ def main(argv: list[str] | None = None) -> int:
     except ResourceCapError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
-    except (InvalidSpectrumError, ValueError) as exc:
+    except ValueError as exc:  # includes InvalidSpectrumError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     text = (

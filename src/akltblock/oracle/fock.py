@@ -43,7 +43,6 @@ from .dense import (
     DEFAULT_MAX_DIM,
     MAX_STATE_ENTRIES,
     ResourceCapError,
-    eigenspectrum,
     require_dim,
 )
 
@@ -294,10 +293,14 @@ def degenerate_states(S: int, L: int) -> dict[tuple[int, int], StateVector]:
     }
 
 
-def _block_view(
+def _block_factor(
     state: StateVector, start: int, length: int, max_dim: int, what: str
 ) -> np.ndarray:
-    """Normalized dense state as a (left, block, right) array; caps the block at max_dim."""
+    """Normalized dense state as a (block, environment) matrix F; caps the block at max_dim.
+
+    Rows run site-major over the block (earliest block site fastest), columns
+    over the sites outside it, so the block density matrix is F F^T.
+    """
     if length < 1 or start < 0 or start + length > state.nsites:
         raise ValueError(
             f"block (start={start}, length={length}) is not a valid site range"
@@ -307,7 +310,8 @@ def _block_view(
     d_block = math.prod(dims[start : start + length])
     d_right = math.prod(dims[start + length :])
     require_dim(d_block, max_dim, what=what)
-    return state.to_dense(normalized=True).reshape((d_left, d_block, d_right), order="F")
+    psi = state.to_dense(normalized=True).reshape((d_left, d_block, d_right), order="F")
+    return psi.transpose(1, 0, 2).reshape(d_block, d_left * d_right)
 
 
 def reduced_density_matrix(
@@ -318,8 +322,8 @@ def reduced_density_matrix(
     The state is normalized first, so the result has unit trace. Row/column
     index is site-major over the block (earliest block site fastest).
     """
-    psi = _block_view(state, start, length, max_dim, "density matrix")
-    return np.einsum("abc,adc->bd", psi, psi)
+    factor = _block_factor(state, start, length, max_dim, "density matrix")
+    return factor @ factor.T
 
 
 def fock_block_spectrum(
@@ -331,16 +335,19 @@ def fock_block_spectrum(
 ) -> list[float]:
     """Eigenvalues (descending) of the block density matrix, brute force.
 
-    Builds the full chain with N bulk sites (default N = L), takes the
-    partial trace onto bulk sites start..start+L-1 and diagonalizes.
+    Builds the full chain with N bulk sites (default N = L) and cuts it into
+    bulk sites start..start+L-1 and the rest. With F that (block x
+    environment) factor, rho = F F^T, so its eigenvalues are the squared
+    singular values of F, padded with exact zeros to the block dimension;
+    rho itself is never formed. ``max_dim`` caps the block dimension.
     """
     if N is None:
         N = L
     if not (1 <= start and start + L - 1 <= N):
         raise ValueError(f"block of length {L} at start {start} does not fit N={N}")
-    full = build_full_vbs(S, N)
-    rho = reduced_density_matrix(full, start, L, max_dim=max_dim)
-    return eigenspectrum(rho, max_dim=max_dim)
+    factor = _block_factor(build_full_vbs(S, N), start, L, max_dim, "density matrix")
+    values = np.linalg.svd(factor, compute_uv=False) ** 2
+    return [float(v) for v in values] + [0.0] * (len(factor) - len(values))
 
 
 def correlator_reconstruction(
@@ -353,13 +360,12 @@ def correlator_reconstruction(
     environment; agreement with :func:`reduced_density_matrix` is the
     definitional cross-check.
     """
-    psi = _block_view(state, start, length, max_dim, "correlator matrix")
-    d_block = psi.shape[1]
+    factor = _block_factor(state, start, length, max_dim, "correlator matrix")
+    d_block = len(factor)
     rho = np.empty((d_block, d_block))
     for a in range(d_block):
-        bra = psi[:, a, :].ravel()
         for b in range(d_block):
-            rho[a, b] = float(np.dot(psi[:, b, :].ravel(), bra))
+            rho[a, b] = float(np.dot(factor[b], factor[a]))
     return rho
 
 

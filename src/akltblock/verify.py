@@ -18,8 +18,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .oracle.dense import DEFAULT_MAX_DIM, eigenspectrum, numerical_rank
+from .oracle.dense import DEFAULT_MAX_DIM, MAX_STATE_ENTRIES, eigenspectrum, numerical_rank
 from .oracle.fock import (
+    _block_factor,
     apply_spin_lowering,
     apply_spin_raising,
     apply_spin_z,
@@ -244,9 +245,9 @@ def suite_oracle(
 ) -> list[dict]:
     """Brute-force Fock (and for spin 1, Pauli) spectra against the formulas.
 
-    ``max_length`` defaults to the largest L <= 6 (at least 2) whose density
-    matrix fits in ``max_dim``. Each oracle spectrum is built once per cell
-    and reused by every check that reads it.
+    ``max_length`` defaults to the largest L <= 6 (at least 2) whose
+    (2S+1)^L-state block fits in ``max_dim``. Each oracle spectrum is built
+    once per cell and reused by every check that reads it.
     """
     checks = []
     S = spin
@@ -265,10 +266,14 @@ def suite_oracle(
             break
     checks.append(match.record(f"S={S}, L=2..{max_length}: " + detail))
 
+    # At N = L the environment is the two end spins, (S+1)^2 states, so any
+    # chain state obeys the bound; one more bulk site makes it a VBS property.
     rank_law = _Check("oracle", "rank_law")
     for L in range(2, max_length + 1):
-        rank = numerical_rank(fock(L, L, 1))
-        if not rank_law.cell(rank != (S + 1) ** 2, S=S, L=L, rank=rank, expected=(S + 1) ** 2):
+        rank = numerical_rank(fock(L, L + 1, 1))
+        if not rank_law.cell(
+            rank != (S + 1) ** 2, S=S, L=L, N=L + 1, rank=rank, expected=(S + 1) ** 2
+        ):
             break
     checks.append(
         rank_law.record(f"numerical rank of rho equals (S+1)^2 for S={S}, L=2..{max_length}")
@@ -386,10 +391,9 @@ def ground_space_projector_gap(
     signs = np.repeat([1.0, -1.0], (S + 1) ** 2)
     gaps = []
     for L in lengths:
+        # No block cap beyond the state's own: the factor is never squared.
         full = build_full_vbs(S, L)
-        d_end = full.dims[0]
-        psi = full.to_dense().reshape((d_end, -1, d_end), order="F")
-        factor_rho = psi.transpose(1, 0, 2).reshape(psi.shape[1], d_end * d_end)
+        factor_rho = _block_factor(full, 1, L, MAX_STATE_ENTRIES, "density matrix")
         columns = [state.to_dense() for state in degenerate_states(S, L).values()]
         factor_proj = np.stack(columns, axis=1) / (S + 1)
         r = np.linalg.qr(np.hstack([factor_rho, factor_proj]), mode="r")

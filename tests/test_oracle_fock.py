@@ -24,6 +24,7 @@ from akltblock.oracle import (
     correlator_reconstruction,
     degenerate_states,
     edge_pair_state,
+    eigenspectrum,
     fock_block_spectrum,
     ladder_residual,
     linear_combine,
@@ -150,6 +151,20 @@ def test_fock_spectrum_matches_formula():
         expected = [(J, eigenvalue_recurrence(S, L, J)) for J in range(S + 1)]
         ok, detail = match_spectrum(observed, expected)
         assert ok, detail
+
+
+@pytest.mark.parametrize(
+    "S, L, N, start",
+    [(1, 2, 4, 2), (1, 3, 5, 2), (1, 6, 6, 1), (2, 4, 4, 1), (3, 3, 3, 1), (1, 1, 3, 2), (2, 1, 1, 1)],
+)
+def test_fock_spectrum_equals_dense_partial_trace(S, L, N, start):
+    # Squared Schmidt values of the (block x environment) factor, padded with
+    # zeros, against eigvalsh of the dense partial trace; the cases cover a
+    # block smaller and larger than its environment.
+    factored = fock_block_spectrum(S, L, N=N, start=start)
+    dense = eigenspectrum(reduced_density_matrix(build_full_vbs(S, N), start, L))
+    assert len(factored) == len(dense) == (2 * S + 1) ** L
+    assert np.max(np.abs(np.array(factored) - dense)) < 1e-12
 
 
 def test_fock_spectrum_position_independent():

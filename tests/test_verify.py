@@ -84,6 +84,14 @@ def test_oracle_suite_passes():
     all_passed(suite_oracle(spin=1, max_length=4))
 
 
+def test_oracle_suite_reaches_projector_gap():
+    # The gap record needs L = 8, whose 6561-state block the default cap refuses.
+    checks = suite_oracle(spin=1, max_length=8, max_dim=6561)
+    all_passed(checks)
+    gap = [c for c in checks if c["name"] == "ground_space_projector_gap"]
+    assert len(gap) == 1 and gap[0]["detail"].startswith("||rho_L - P/(S+1)^2||_2 at L=6,8: ")
+
+
 def test_oracle_suite_spin2():
     all_passed(suite_oracle(spin=2, max_length=3))
 
@@ -244,7 +252,7 @@ def test_fock_checks_report_first_counterexample(monkeypatch):
     assert (match["S"], match["L"]) == (1, 3)
     assert match["detail"].startswith("J=1: expected 0.25925925925925924, closest observed ")
     assert list(_counterexample(checks, "rank_law").items()) == [
-        ("S", 1), ("L", 3), ("rank", 3), ("expected", 4),
+        ("S", 1), ("L", 3), ("N", 4), ("rank", 3), ("expected", 4),
     ]
 
 
