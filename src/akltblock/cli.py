@@ -185,11 +185,21 @@ def _render_csv(doc: dict, command: str) -> str:
                 [row["S"], row["L"], f"{row['alpha']:.17g}", f"{row['value']:.17g}"]
             )
     elif command == "verify":
-        writer.writerow(["suite", "name", "passed", "detail"])
+        import json
+
+        # A failing cell's coordinates travel as compact JSON in a trailing
+        # column, present only when some record carries a counterexample.
+        located = any("counterexample" in check for check in doc["checks"])
+        writer.writerow(["suite", "name", "passed", "detail"] + located * ["counterexample"])
         for check in doc["checks"]:
-            writer.writerow(
-                [check["suite"], check["name"], check["passed"], check["detail"]]
-            )
+            row = [check["suite"], check["name"], check["passed"], check["detail"]]
+            if located:
+                where = check.get("counterexample")
+                row.append(
+                    "" if where is None
+                    else json.dumps(where, sort_keys=True, separators=(",", ":"))
+                )
+            writer.writerow(row)
     else:
         writer.writerow(
             ["S", "L", "J", "multiplicity", "method", "lambda_exact", "lambda_float"]

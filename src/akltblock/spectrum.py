@@ -5,16 +5,25 @@ The reduced density matrix of a contiguous length-L block cut out of the
 one value Lambda(J) per total edge-spin sector J = 0..S, each with
 multiplicity 2J+1. Both exact routes evaluate
 Lambda(J) = sum_l c(S,J,l) lambda(l,S)^(L-1) with L-independent weights c,
-tabulated once per S by independent builders and damped by ``_damped_sum``:
+tabulated once per S by independent Fraction builders:
 
 * ``eigenvalue_recurrence`` — c from the polynomials I_l of a three-term
   recurrence (``_recurrence_weights``);
 * ``eigenvalue_closed`` — c from a sum over squared 3j symbols, no I_l
   (``_closed_weights``).
 
-Everything here is big-rational arithmetic; no floats enter until entropy
-evaluation. Norm-squares of the underlying (unnormalized) VBS states are
-also exposed since the eigenvalues are rescaled norms.
+The routes meet only in one integer kernel. lambda(l,S) is the ratio
+a_l / C(2S+1,S) with a_l = (-1)^l C(2S+1,S-l), and ``_integer_table`` puts
+row J of a route's table over one denominator W_J as integers n_{J,l}, so
+
+    Lambda(J) = sum_l n_{J,l} a_l^(L-1) / (W_J C(2S+1,S)^(L-1)):
+
+one integer dot product and one gcd per sector, with the powers shared by
+every J and both routes through ``_damping_powers``.
+
+Everything here is exact integer and rational arithmetic; no floats enter
+until entropy evaluation. Norm-squares of the underlying (unnormalized) VBS
+states are also exposed since the eigenvalues are rescaled norms.
 """
 
 from __future__ import annotations
@@ -169,9 +178,40 @@ def _closed_weights(S: int) -> tuple[tuple[Fraction, ...], ...]:
     return tuple(rows)
 
 
-def _damped_sum(weights: tuple[Fraction, ...], S: int, L: int) -> Fraction:
-    """sum_l weights[l] * lambda(l,S)^(L-1): the one L-dependent step of both routes."""
-    return sum(w * lambda_coeff(l, S) ** (L - 1) for l, w in enumerate(weights))
+@lru_cache(maxsize=None)
+def _integer_table(weights, S: int) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """The table ``weights(S)`` as integers: row J is (n_{J,l} for l = 0..S, W_J).
+
+    W_J is the lcm of the row's denominators and n_{J,l} = W_J c(S,J,l).
+    """
+    rows = []
+    for row in weights(S):
+        common = math.lcm(*(w.denominator for w in row))
+        rows.append((tuple(w.numerator * (common // w.denominator) for w in row), common))
+    return tuple(rows)
+
+
+@lru_cache(maxsize=8)
+def _damping_powers(S: int, L: int) -> tuple[tuple[int, ...], int]:
+    """(a_l^(L-1) for l = 0..S, C(2S+1,S)^(L-1)) with a_l = (-1)^l C(2S+1,S-l).
+
+    lambda(l,S) = a_l / C(2S+1,S); every sector and both routes at one (S, L)
+    share these powers. An entry grows linearly with L, so only the last few
+    lengths are kept.
+    """
+    n = 2 * S + 1
+    powers = tuple(((-1) ** l * math.comb(n, S - l)) ** (L - 1) for l in range(S + 1))
+    return powers, math.comb(n, S) ** (L - 1)
+
+
+def _damped_eigenvalue(weights, S: int, L: int, J: int) -> Fraction:
+    """sum_l c(S,J,l) lambda(l,S)^(L-1) for c = ``weights(S)``[J].
+
+    One integer dot product and one gcd (in the Fraction constructor).
+    """
+    numerators, common = _integer_table(weights, S)[J]
+    powers, scale = _damping_powers(S, L)
+    return Fraction(sum(n * p for n, p in zip(numerators, powers)), common * scale)
 
 
 def eigenvalue_recurrence(S: int, L: int, J: int) -> Fraction:
@@ -183,7 +223,7 @@ def eigenvalue_recurrence(S: int, L: int, J: int) -> Fraction:
     _check_spin(S)
     _check_length(L)
     _check_sector(S, J)
-    return _damped_sum(_recurrence_weights(S)[J], S, L)
+    return _damped_eigenvalue(_recurrence_weights, S, L, J)
 
 
 def eigenvalue_closed(S: int, L: int, J: int) -> Fraction:
@@ -195,7 +235,7 @@ def eigenvalue_closed(S: int, L: int, J: int) -> Fraction:
     _check_spin(S)
     _check_length(L)
     _check_sector(S, J)
-    return _damped_sum(_closed_weights(S)[J], S, L)
+    return _damped_eigenvalue(_closed_weights, S, L, J)
 
 
 def vbs_norm(S: int, N: int) -> Fraction:
@@ -262,6 +302,20 @@ class BlockSpectrum:
     method: str
 
     def trace(self):
+        """Sum of all eigenvalues with multiplicity.
+
+        All-Fraction entries are summed over the lcm of their denominators,
+        one normalisation instead of a chain of Fraction additions.
+        """
+        if all(isinstance(value, Fraction) for _, value, _ in self.entries):
+            common = math.lcm(*(value.denominator for _, value, _ in self.entries))
+            return Fraction(
+                sum(
+                    mult * value.numerator * (common // value.denominator)
+                    for _, value, mult in self.entries
+                ),
+                common,
+            )
         return sum(mult * value for _, value, mult in self.entries)
 
     def eigenvalues(self) -> list:

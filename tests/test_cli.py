@@ -9,12 +9,15 @@ import collections
 import csv
 import io
 import json
+import math
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import pytest
 
+from akltblock import verify
 from akltblock.cli import main
 from akltblock.spectrum import BlockSpectrum, eigenvalue_recurrence
 
@@ -280,6 +283,40 @@ def test_verify_csv(capsys):
     lines = out.strip().splitlines()
     assert lines[0] == "suite,name,passed,detail"
     assert all(line.split(",")[0] == "conjecture1" for line in lines[1:])
+
+
+def test_failing_verify_csv_names_the_failing_cell(capsys, monkeypatch):
+    real = verify._formula_entries
+
+    def shifted(S, L):
+        entries = real(S, L)
+        return [(J, v + Fraction(1, 2)) for J, v in entries] if L == 3 else entries
+
+    monkeypatch.setattr(verify, "_formula_entries", shifted)
+    code, out, _ = run_cli(
+        capsys, "verify", "oracle", "--max-length", "4", "--format", "csv"
+    )
+    assert code == 1
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert list(rows[0]) == ["suite", "name", "passed", "detail", "counterexample"]
+    failing = next(row for row in rows if row["name"] == "fock_spectrum_matches_formula")
+    assert failing["passed"] == "False"
+    where = json.loads(failing["counterexample"])
+    assert (where["S"], where["L"]) == (1, 3)
+    assert failing["counterexample"] == json.dumps(where, sort_keys=True, separators=(",", ":"))
+    assert all(row["counterexample"] == "" for row in rows if row["passed"] == "True")
+
+
+def test_entropy_spin30_long_sweep_is_fast(capsys):
+    start = time.perf_counter()
+    code, out, _ = run_cli(capsys, "entropy", "--spin", "30", "--length", "2..300")
+    elapsed = time.perf_counter() - start
+    assert code == 0
+    values = [row["value"] for row in json.loads(out)["results"]]
+    assert len(values) == 299 * 3  # alpha = 0.5, 1, 2
+    assert all(0.0 <= v <= 2 * math.log(31) + 1e-12 for v in values)
+    # about 2 s with the integer kernel; the Fraction kernel took over 30 s
+    assert elapsed < 15.0
 
 
 # ---------------------------------------------------------------------------

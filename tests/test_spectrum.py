@@ -13,9 +13,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import akltblock.spectrum as spectrum
 from akltblock.spectrum import (
     EXACT_METHODS,
+    BlockSpectrum,
     _closed_weights,
+    _damping_powers,
     _recurrence_weights,
     block_spectrum,
     degenerate_norm,
@@ -51,6 +54,18 @@ def test_lambda_ratio_law_exact():
     for S in range(1, 9):
         for l in range(S):
             assert lambda_coeff(l + 1, S) / lambda_coeff(l, S) == Fraction(-(S - l), S + l + 2)
+
+
+def test_integer_damping_ratio_is_lambda():
+    # lambda(l,S) = (-1)^l C(2S+1,S-l) / C(2S+1,S); at L = 2 the kernel's
+    # powers are those integers themselves.
+    for S in range(0, 41):
+        powers, scale = _damping_powers(S, 2)
+        assert scale == math.comb(2 * S + 1, S)
+        for l in range(S + 1):
+            a = (-1) ** l * math.comb(2 * S + 1, S - l)
+            assert powers[l] == a
+            assert Fraction(a, scale) == lambda_coeff(l, S)
 
 
 def test_lambda_out_of_range():
@@ -149,6 +164,75 @@ def test_weight_tables_equal_for_every_length():
     # so equal tables make them agree at every L, not only at sampled lengths.
     for S in range(1, 13):
         assert _recurrence_weights(S) == _closed_weights(S)
+
+
+def test_integer_kernel_matches_fraction_reference():
+    # The reference damps each route's Fraction table directly:
+    # Lambda(J) = sum_l w(J,l) lambda(l,S)^(L-1).
+    tables = {"recurrence": _recurrence_weights, "closed_form": _closed_weights}
+    for S in range(1, 13):
+        lambdas = [lambda_coeff(l, S) for l in range(S + 1)]
+        for L in (1, 2, 3, 7, 50, 201):
+            for method, weights in tables.items():
+                want = [
+                    sum(w * lam ** (L - 1) for w, lam in zip(row, lambdas))
+                    for row in weights(S)
+                ]
+                got = [value for _, value, _ in block_spectrum(S, L, method).entries]
+                assert got == want, (S, L, method)
+
+
+def test_length_sweep_takes_no_lambda_and_no_fraction_power(monkeypatch):
+    # Once a spin's tables exist, every length is integer arithmetic only.
+    S = 6
+    for method in EXACT_METHODS:
+        block_spectrum(S, 2, method)
+    calls = {"lambda_coeff": 0, "pow": 0}
+    real_lambda, real_pow = spectrum.lambda_coeff, Fraction.__pow__
+
+    def counted_lambda(l, S):
+        calls["lambda_coeff"] += 1
+        return real_lambda(l, S)
+
+    def counted_pow(self, other, *args):
+        calls["pow"] += 1
+        return real_pow(self, other, *args)
+
+    monkeypatch.setattr(spectrum, "lambda_coeff", counted_lambda)
+    monkeypatch.setattr(Fraction, "__pow__", counted_pow)
+    for L in range(1, 60):
+        for method in EXACT_METHODS:
+            assert block_spectrum(S, L, method).trace() == 1
+    assert calls == {"lambda_coeff": 0, "pow": 0}
+
+
+def _naive_trace(spec):
+    total = 0
+    for _, value, mult in spec.entries:
+        total += mult * value
+    return total
+
+
+def test_trace_equals_naive_sum():
+    for S in range(1, 7):
+        for L in (1, 2, 5, 30):
+            for method in EXACT_METHODS:
+                spec = block_spectrum(S, L, method)
+                assert spec.trace() == _naive_trace(spec) == 1
+    skewed = BlockSpectrum(
+        S=2, L=3,
+        entries=((0, Fraction(1, 6), 1), (1, Fraction(-2, 15), 3), (2, Fraction(7, 100), 5)),
+        method="closed_form",
+    )
+    assert skewed.trace() == _naive_trace(skewed) == Fraction(7, 60)
+    assert isinstance(skewed.trace(), Fraction)
+    floats = BlockSpectrum(S=1, L=2, entries=((0, 0.25, 1), (1, 0.25, 3)), method="fock_oracle")
+    assert floats.trace() == _naive_trace(floats) == 1.0
+    assert isinstance(floats.trace(), float)
+    ints = BlockSpectrum(S=1, L=1, entries=((0, 0, 1), (1, 2, 3)), method="x")
+    assert ints.trace() == _naive_trace(ints) == 6
+    mixed = BlockSpectrum(S=1, L=1, entries=((0, 0, 1), (1, Fraction(1, 3), 3)), method="x")
+    assert mixed.trace() == _naive_trace(mixed) == 1
 
 
 @given(S=st.integers(1, 8), L=st.integers(1, 64))
