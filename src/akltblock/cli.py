@@ -48,7 +48,8 @@ def _oracle_values(args: argparse.Namespace, method: str, L: int) -> list[float]
         return fock_block_spectrum(args.spin, L, max_dim=args.max_dim)
     if args.spin != 1:
         raise UsageError("pauli_oracle supports bulk spin 1 only")
-    return eigenspectrum(pauli_density_matrix_spin1(L), max_dim=args.max_dim)
+    rho = pauli_density_matrix_spin1(L, max_dim=args.max_dim)
+    return eigenspectrum(rho, max_dim=args.max_dim)
 
 
 _ROW_FIELDS = ("S", "L", "J", "lambda_exact", "lambda_float", "multiplicity", "method")
@@ -219,15 +220,23 @@ def _render_csv(doc: dict, command: str) -> str:
     return buffer.getvalue()
 
 
-def _positive_spin(text: str) -> int:
-    message = "bulk spin must be a positive integer"
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(message) from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(message)
-    return value
+def _positive_integer(message: str):
+    """An argparse type accepting integers >= 1 and rejecting the rest with ``message``."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(message) from None
+        if value < 1:
+            raise argparse.ArgumentTypeError(message)
+        return value
+
+    return parse
+
+
+_positive_spin = _positive_integer("bulk spin must be a positive integer")
+_positive_dim = _positive_integer("dimension cap must be a positive integer")
 
 
 def _length_range(text: str) -> tuple[int, ...]:
@@ -283,7 +292,12 @@ def _add_common(parser: argparse.ArgumentParser, *, lengths_default: str | None)
         help="block length, a single integer or an inclusive range a..b",
     )
     parser.add_argument("--format", choices=("json", "csv"), default="json", dest="output_format")
-    parser.add_argument("--max-dim", type=int, default=DEFAULT_MAX_DIM, help="dense-matrix dimension cap")
+    parser.add_argument(
+        "--max-dim",
+        type=_positive_dim,
+        default=DEFAULT_MAX_DIM,
+        help="dense-matrix dimension cap (positive integer)",
+    )
     parser.add_argument("--out", default=None, help="write the document to this path instead of stdout")
 
 

@@ -69,6 +69,13 @@ __all__ = [
 ]
 
 
+def _occupation_weight(spins: tuple[int, ...], tms: tuple[int, ...]) -> int:
+    """Norm-square prod_j p_j! q_j! of a boson monomial over the given sites."""
+    return math.prod(
+        factorial((ts + tm) // 2) * factorial((ts - tm) // 2) for ts, tm in zip(spins, tms)
+    )
+
+
 @dataclass
 class StateVector:
     """Sparse exact state over the Schwinger occupation basis.
@@ -108,10 +115,7 @@ class StateVector:
         """
         total = Fraction(0)
         for key, amp in self.amps.items():
-            weight = 1
-            for ts, tm in zip(self.spins, key):
-                weight *= factorial((ts + tm) // 2) * factorial((ts - tm) // 2)
-            total += amp * amp * weight
+            total += amp * amp * _occupation_weight(self.spins, key)
         return total * self.scale.square
 
     def to_dense(self, normalized: bool = True) -> np.ndarray:
@@ -355,17 +359,44 @@ def correlator_reconstruction(
 ) -> np.ndarray:
     """Rebuild the block density matrix from multi-point correlators.
 
-    Evaluates every correlator <G| prod_j |b_j><a_j| |G> as an explicit
-    expectation value (one per matrix entry) instead of tracing out the
-    environment; agreement with :func:`reduced_density_matrix` is the
-    definitional cross-check.
+    Evaluates every correlator <G| prod_j |b_j><a_j| |G> from the sparse
+    exact amplitudes, never from a dense vector: monomials sharing their
+    environment part pair up, and entry (a, b) is the exact sum of
+    amp_a amp_b w_env over those pairs, times sqrt(w_a w_b) over the exact
+    norm-square, with w the p! q! occupation weights. Each entry becomes a
+    float once. Agreement with :func:`reduced_density_matrix` is therefore a
+    cross-check between two independent routes. Row/column index is
+    site-major over the block (earliest block site fastest).
     """
-    factor = _block_factor(state, start, length, max_dim, "correlator matrix")
-    d_block = len(factor)
-    rho = np.empty((d_block, d_block))
-    for a in range(d_block):
-        for b in range(d_block):
-            rho[a, b] = float(np.dot(factor[b], factor[a]))
+    if length < 1 or start < 0 or start + length > state.nsites:
+        raise ValueError(
+            f"block (start={start}, length={length}) is not a valid site range"
+        )
+    stop = start + length
+    block_spins = state.spins[start:stop]
+    env_spins = state.spins[:start] + state.spins[stop:]
+    d_block = math.prod(state.dims[start:stop])
+    require_dim(d_block, max_dim, what="correlator matrix")
+    environments: dict[tuple[int, ...], list[tuple[int, Fraction]]] = {}
+    block_weight = {}
+    for key, amp in state.amps.items():
+        index, stride = 0, 1
+        for ts, tm in zip(block_spins, key[start:stop]):
+            index += ((tm + ts) // 2) * stride
+            stride *= ts + 1
+        block_weight[index] = _occupation_weight(block_spins, key[start:stop])
+        environments.setdefault(key[:start] + key[stop:], []).append((index, amp))
+    sums: dict[tuple[int, int], Fraction] = {}
+    for env, members in environments.items():
+        env_weight = _occupation_weight(env_spins, env)
+        for a, amp_a in members:
+            for b, amp_b in members:
+                sums[a, b] = sums.get((a, b), 0) + amp_a * amp_b * env_weight
+    scale = state.scale.square / state.norm_square_exact()
+    rho = np.zeros((d_block, d_block))
+    for (a, b), total in sums.items():
+        root = SignedSqrtRational(1, Fraction(block_weight[a] * block_weight[b]))
+        rho[a, b] = float(SignedSqrtRational.from_rational(total * scale) * root)
     return rho
 
 

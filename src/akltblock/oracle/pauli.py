@@ -16,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..angular import _check_length
-from .dense import MAX_STATE_ENTRIES, ResourceCapError
+from .dense import DEFAULT_MAX_DIM, MAX_STATE_ENTRIES, ResourceCapError, require_dim
 
 __all__ = [
     "pauli_density_matrix_spin1",
@@ -68,14 +68,16 @@ def _string_products(L: int) -> np.ndarray:
     return products
 
 
-def pauli_density_matrix_spin1(L: int) -> np.ndarray:
+def pauli_density_matrix_spin1(L: int, max_dim: int = DEFAULT_MAX_DIM) -> np.ndarray:
     """Block density matrix over alpha-strings, dimension 3^L.
 
     Entry (a, b) is Tr(N_b^dag M_a) / (2*3^L) with M_a = sigma_{a_L}...sigma_{a_1};
-    the result is real symmetric with unit trace and rank 4.
+    the result is real symmetric with unit trace and rank 4. ``max_dim`` caps
+    the dimension before any string product is formed.
     """
     if not isinstance(L, int) or not 2 <= L <= 7:
         raise ValueError(f"Pauli oracle supports block lengths 2..7, got {L!r}")
+    require_dim(3**L, max_dim)
     flat = _string_products(L).reshape(3**L, 4)
     rho = flat @ flat.conj().T / (2 * 3**L)
     worst = np.abs(rho.imag).max()

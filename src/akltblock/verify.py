@@ -109,98 +109,63 @@ class _Check:
         return record
 
 
-def _greedy_match(
-    observed: Sequence[float], expected: Sequence[tuple[int, Fraction | float]]
-) -> tuple[list[tuple[int, float, list[float], bool]], list[float]]:
-    """Greedy nearest-value consumption of the observed eigenvalues.
-
-    In descending order of Lambda(J), each sector claims the 2J+1 closest
-    unclaimed observed values (fewer if they run out). Returns the
-    (J, target, claimed values, short) tuples in that order and the unclaimed
-    rest; ``short`` marks a sector that ran out of values. A sector whose
-    exact value is 0 is never short: a block with fewer than (S+1)^2 states,
-    such as one site (2S+1 states, Lambda(J < S) = 0 at L = 1), simply has
-    no room for those null directions.
-    """
-    remaining = list(observed)
-    claims = []
-    for J, lam in sorted(expected, key=lambda item: -float(item[1])):
-        target = float(lam)
-        claimed = []
-        for _ in range(2 * J + 1):
-            if not remaining:
-                break
-            best = min(range(len(remaining)), key=lambda i: abs(remaining[i] - target))
-            claimed.append(remaining.pop(best))
-        claims.append((J, target, claimed, lam != 0 and len(claimed) < 2 * J + 1))
-    return claims, remaining
-
-
 def match_spectrum(
     observed: Sequence[float],
     expected: Sequence[tuple[int, Fraction | float]],
     tol: float = _MATCH_TOL,
     zero_tol: float = _ZERO_TOL,
-) -> tuple[bool, str]:
+) -> tuple[bool, str, list[tuple[int | None, float, int]]]:
     """Match oracle eigenvalues against {Lambda(J) with multiplicity 2J+1}.
 
-    Each expected eigenvalue claims the closest unclaimed observed one; the
-    detail names the first claim off by more than ``tol``, and whatever
-    remains must vanish within ``zero_tol``.
+    In descending order of Lambda(J), each sector claims the 2J+1 closest
+    unclaimed observed values. The verdict names the first claim off by more
+    than ``tol``, else the first sector that runs out of values, else a
+    leftover above ``zero_tol``. A sector whose exact value is 0 never runs
+    short: a block with fewer than (S+1)^2 states, such as one site (2S+1
+    states, Lambda(J < S) = 0 at L = 1), has no room for those directions.
+    Returns (ok, detail, rows): rows are (J, mean of the claimed values,
+    2J+1) sorted by J, then, if values are left unclaimed, one row
+    (None, max |leftover|, leftover count).
     """
-    claims, remaining = _greedy_match(observed, expected)
+    remaining = list(observed)
+    failure = None
     worst_match = 0.0
-    for J, target, claimed, short in claims:
-        for value in claimed:
-            deviation = abs(value - target)
-            if deviation > tol:
-                return (
-                    False,
-                    f"J={J}: expected {target!r}, closest observed "
-                    f"{value!r} (|diff|={deviation:.3e} > {tol})",
-                )
+    rows = []
+    for J, lam in sorted(expected, key=lambda item: -float(item[1])):
+        target = float(lam)
+        claimed = []
+        while remaining and len(claimed) < 2 * J + 1:
+            best = min(range(len(remaining)), key=lambda i: abs(remaining[i] - target))
+            claimed.append(remaining.pop(best))
+            deviation = abs(claimed[-1] - target)
             worst_match = max(worst_match, deviation)
-        if short:
-            return False, f"ran out of eigenvalues while matching J={J}"
+            if deviation > tol and failure is None:
+                failure = (
+                    f"J={J}: expected {target!r}, closest observed "
+                    f"{claimed[-1]!r} (|diff|={deviation:.3e} > {tol})"
+                )
+        if lam != 0 and len(claimed) < 2 * J + 1 and failure is None:
+            failure = f"ran out of eigenvalues while matching J={J}"
+        if claimed:
+            rows.append((J, sum(claimed) / len(claimed), 2 * J + 1))
+    rows.sort()
     worst_leftover = max((abs(v) for v in remaining), default=0.0)
-    if worst_leftover > zero_tol:
-        return False, f"leftover eigenvalue {worst_leftover:.3e} exceeds {zero_tol}"
-    return True, f"max match dev {worst_match:.3e}, max leftover {worst_leftover:.3e}"
+    if remaining:
+        rows.append((None, worst_leftover, len(remaining)))
+    if worst_leftover > zero_tol and failure is None:
+        failure = f"leftover eigenvalue {worst_leftover:.3e} exceeds {zero_tol}"
+    detail = failure or f"max match dev {worst_match:.3e}, max leftover {worst_leftover:.3e}"
+    return failure is None, detail, rows
 
 
 def label_sectors(
     observed: Sequence[float], S: int, L: int
 ) -> tuple[list[tuple[int | None, float, int]], bool, str]:
-    """Label oracle eigenvalues with the J sector of the nearest formula value.
-
-    Returns rows (J, mean of the claimed values, 2J+1) sorted by J, then,
-    if any values are left unclaimed, one row (None, max |leftover|,
-    leftover count); an ok flag; and a detail listing every problem: a
-    sector that runs out of values, a claim off by more than 1e-9, or a
-    leftover above 1e-10.
-    """
-    claims, leftovers = _greedy_match(observed, _formula_entries(S, L))
-    rows = []
-    notes = []
-    for J, target, claimed, short in claims:
-        if short:
-            notes.append(f"ran out of eigenvalues at J={J}")
-        if not claimed:
-            continue
-        deviation = max(abs(v - target) for v in claimed)
-        if deviation > _MATCH_TOL:
-            notes.append(f"J={J} deviates by {deviation:.3e}")
-        rows.append((J, sum(claimed) / len(claimed), 2 * J + 1))
-    rows.sort()
-    if leftovers:
-        leftover_max = max(abs(v) for v in leftovers)
-        rows.append((None, leftover_max, len(leftovers)))
-        if leftover_max > _ZERO_TOL:
-            notes.append(f"leftover eigenvalue {leftover_max:.3e}")
-    detail = "; ".join(notes) or (
-        f"matched formula values within {_MATCH_TOL}, leftovers below {_ZERO_TOL}"
-    )
-    return rows, not notes, detail
+    """``match_spectrum`` rows and verdict against the formula values of (S, L)."""
+    ok, detail, rows = match_spectrum(observed, _formula_entries(S, L))
+    if ok:
+        detail = f"matched formula values within {_MATCH_TOL}, leftovers below {_ZERO_TOL}"
+    return rows, ok, detail
 
 
 def _formula_entries(S: int, L: int) -> list[tuple[int, Fraction]]:
@@ -261,7 +226,7 @@ def suite_oracle(
     match = _Check("oracle", "fock_spectrum_matches_formula")
     detail = ""
     for L in range(2, max_length + 1):
-        ok, detail = match_spectrum(fock(L, L, 1), _formula_entries(S, L))
+        ok, detail, _ = match_spectrum(fock(L, L, 1), _formula_entries(S, L))
         if not match.cell(not ok, S=S, L=L, detail=detail):
             break
     checks.append(match.record(f"S={S}, L=2..{max_length}: " + detail))
@@ -320,12 +285,13 @@ def _pauli_checks(max_length: int, max_dim: int, fock) -> list[dict]:
 
     @lru_cache(maxsize=None)
     def pauli(L: int) -> list[float]:
-        return eigenspectrum(pauli_density_matrix_spin1(L), max_dim=max_dim)
+        rho = pauli_density_matrix_spin1(L, max_dim=max_dim)
+        return eigenspectrum(rho, max_dim=max_dim)
 
     match = _Check("oracle", "pauli_spectrum_matches_formula")
     detail = ""
     for L in range(2, min(max_length, 7) + 1):
-        ok, detail = match_spectrum(pauli(L), _formula_entries(1, L), tol=_ZERO_TOL)
+        ok, detail, _ = match_spectrum(pauli(L), _formula_entries(1, L), tol=_ZERO_TOL)
         if not match.cell(not ok, S=1, L=L, detail=detail):
             break
     checks.append(match.record(f"L=2..{min(max_length, 7)}: " + detail))

@@ -373,6 +373,56 @@ def test_resource_cap_exits_3(capsys, method):
     assert "cap" in err
 
 
+def test_refused_pauli_run_builds_no_string_products(capsys, monkeypatch):
+    from akltblock.oracle import pauli
+
+    def forbidden(L):
+        raise AssertionError("string products built past the cap")
+
+    monkeypatch.setattr(pauli, "_string_products", forbidden)
+    code, out, err = run_cli(
+        capsys, "spectrum", "--spin", "1", "--length", "7",
+        "--method", "pauli_oracle", "--max-dim", "100",
+    )
+    assert code == 3
+    assert out == ""
+    assert err == "error: matrix dimension 2187 exceeds the cap 100\n"
+
+
+@pytest.mark.parametrize("value", ["0", "-3"])
+@pytest.mark.parametrize(
+    "argv",
+    [("spectrum", "--spin", "1", "--method", "fock_oracle"), ("verify", "oracle")],
+)
+def test_non_positive_max_dim_is_a_usage_error(capsys, argv, value):
+    code, out, err = run_cli(capsys, *argv, "--max-dim", value)
+    assert code == 2
+    assert out == ""
+    assert "argument --max-dim: dimension cap must be a positive integer" in err
+
+
+def test_failing_oracle_agreement_names_the_first_failure(capsys, monkeypatch):
+    from akltblock import cli
+
+    values = cli.fock_block_spectrum(1, 2)
+    shifted = [values[0] + 1e-6, *values[1:]]
+    monkeypatch.setattr(cli, "fock_block_spectrum", lambda S, L, max_dim: list(shifted))
+    code, out, _ = run_cli(
+        capsys, "spectrum", "--spin", "1", "--length", "2", "--method", "fock_oracle"
+    )
+    assert code == 1
+    doc = json.loads(out)
+    (record,) = [c for c in doc["checks"] if c["name"] == "fock_oracle_agreement_L2"]
+    assert not record["passed"]
+    ok, detail, _ = verify.match_spectrum(shifted, verify._formula_entries(1, 2))
+    assert not ok
+    assert record["detail"] == detail + " (reference: recurrence)"
+    labels = [(row["J"], row["multiplicity"], row["method"]) for row in doc["results"]]
+    assert labels == [
+        (0, 1, "fock_oracle"), (1, 3, "fock_oracle"), (None, 5, "fock_oracle_null_modes"),
+    ]
+
+
 def test_version_flag(capsys):
     code, out, _ = run_cli(capsys, "--version")
     assert code == 0

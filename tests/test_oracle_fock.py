@@ -149,7 +149,7 @@ def test_fock_spectrum_matches_formula():
     for S, L in [(1, 2), (1, 3), (1, 4), (2, 2)]:
         observed = fock_block_spectrum(S, L)
         expected = [(J, eigenvalue_recurrence(S, L, J)) for J in range(S + 1)]
-        ok, detail = match_spectrum(observed, expected)
+        ok, detail, _ = match_spectrum(observed, expected)
         assert ok, detail
 
 

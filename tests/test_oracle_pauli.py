@@ -61,7 +61,7 @@ def test_density_matrix_spectrum(L):
     rho = pauli_density_matrix_spin1(L)
     assert abs(np.trace(rho) - 1.0) < 1e-12
     observed = eigenspectrum(rho, max_dim=4096)
-    ok, detail = match_spectrum(observed, closed_form_eigenvalues(L), tol=1e-12)
+    ok, detail, _ = match_spectrum(observed, closed_form_eigenvalues(L), tol=1e-12)
     assert ok, detail
 
 

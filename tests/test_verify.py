@@ -32,43 +32,44 @@ def all_passed(checks):
 def test_match_spectrum_accepts_exact_multiplets():
     observed = [1 / 3, 2 / 9, 2 / 9, 2 / 9, 0.0, 0.0]
     expected = [(0, Fraction(1, 3)), (1, Fraction(2, 9))]
-    ok, detail = match_spectrum(observed, expected)
+    ok, detail, rows = match_spectrum(observed, expected)
     assert ok
     assert "max match dev" in detail
+    assert rows == [(0, 1 / 3, 1), (1, 2 / 9, 3), (None, 0.0, 2)]
 
 
 def test_match_spectrum_flags_shifted_eigenvalue():
     observed = [1 / 3 + 1e-6, 2 / 9, 2 / 9, 2 / 9]
-    ok, detail = match_spectrum(observed, [(0, Fraction(1, 3)), (1, Fraction(2, 9))])
+    ok, detail, _ = match_spectrum(observed, [(0, Fraction(1, 3)), (1, Fraction(2, 9))])
     assert not ok
     assert "J=0" in detail
 
 
 def test_match_spectrum_flags_leftover_weight():
     observed = [1 / 3, 2 / 9, 2 / 9, 2 / 9, 1e-3]
-    ok, detail = match_spectrum(observed, [(0, Fraction(1, 3)), (1, Fraction(2, 9))])
+    ok, detail, _ = match_spectrum(observed, [(0, Fraction(1, 3)), (1, Fraction(2, 9))])
     assert not ok
     assert "leftover" in detail
 
 
 def test_match_spectrum_flags_missing_eigenvalues():
-    ok, detail = match_spectrum([1 / 3], [(0, Fraction(1, 3)), (1, Fraction(2, 9))])
+    ok, detail, _ = match_spectrum([1 / 3], [(0, Fraction(1, 3)), (1, Fraction(2, 9))])
     assert not ok
     assert "ran out" in detail
 
 
 def test_match_spectrum_zero_sector_may_run_out():
     # one spin-1 site: three states of 1/3 and no room for Lambda(0) = 0
-    ok, detail = match_spectrum([1 / 3] * 3, [(0, Fraction(0)), (1, Fraction(1, 3))])
+    ok, detail, _ = match_spectrum([1 / 3] * 3, [(0, Fraction(0)), (1, Fraction(1, 3))])
     assert ok, detail
 
 
 def test_match_spectrum_respects_tolerances():
     observed = [1 / 3 + 5e-7, 2 / 9, 2 / 9, 2 / 9]
     expected = [(0, Fraction(1, 3)), (1, Fraction(2, 9))]
-    ok, _ = match_spectrum(observed, expected, tol=1e-6)
+    ok, _, _ = match_spectrum(observed, expected, tol=1e-6)
     assert ok
-    ok, _ = match_spectrum(observed, expected, tol=1e-8)
+    ok, _, _ = match_spectrum(observed, expected, tol=1e-8)
     assert not ok
 
 
@@ -103,6 +104,21 @@ def test_hamiltonian_suite_passes():
 
 def test_appendix_suite_passes():
     all_passed(suite_appendix(max_spin=2))
+
+
+def test_correlator_check_does_not_read_the_dense_factor(monkeypatch):
+    # Permuting the rows of the dense (block x environment) factor changes
+    # the partial trace but not the correlators, which come from the sparse
+    # exact amplitudes; the record must notice the difference.
+    from akltblock.oracle import fock
+
+    real = fock._block_factor
+    monkeypatch.setattr(
+        fock, "_block_factor", lambda *args: np.roll(real(*args), 1, axis=0)
+    )
+    (record,) = [c for c in suite_appendix(max_spin=2) if c["name"] == "correlator_reconstruction"]
+    assert not record["passed"]
+    assert record["counterexample"]["L"] == 2
 
 
 def test_flat_limit_suite_passes():
