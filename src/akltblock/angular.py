@@ -7,6 +7,10 @@ returned as :class:`SignedSqrtRational` values, i.e. ``sign * sqrt(square)``
 with a rational ``square``; products and squares of such values are exact.
 Phases follow the Condon-Shortley convention (the stretched-state coefficient
 is +1 and lowering never introduces signs).
+
+Every layer imports this module, so it also owns the package's two argument
+policies: ``TOL``, the one table of float tolerances, and ``_check_int``,
+the one integer-range validator.
 """
 
 from __future__ import annotations
@@ -17,6 +21,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 __all__ = [
+    "TOL",
     "factorial",
     "SignedSqrtRational",
     "three_j_zero",
@@ -25,27 +30,43 @@ __all__ = [
 ]
 
 
+@dataclass(frozen=True)
+class Tolerances:
+    """Float tolerances, one per meaning.
+
+    The exact eigenvalues are rationals, so each entry is a policy: how far a
+    float oracle may stray from an exact value and still agree with it.
+    """
+
+    match: float = 1e-9  # oracle eigenvalue vs formula value, spectrum vs spectrum
+    residual: float = 1e-9  # state norms, overlaps, eigen and quantum-number relations
+    zero: float = 1e-10  # numerically zero: leftovers, clamps, rank, route differences
+    roundoff: float = 1e-12  # trace, Hermiticity, imaginary residue, projector algebra
+    channel: float = 1e-13  # Pauli depolarizing-sum identity
+    null_space: float = 1e-8  # eigenvalue cutoff of a projector-sum null space
+    projector_gap: float = 1e-4  # ||rho_L - P/(S+1)^2||_2 bound at L = 10
+
+
+TOL = Tolerances()
+
+
+def _check_int(what: str, value, low: int, high: int | None = None) -> None:
+    """Raise ValueError unless ``value`` is an int (not a bool) in low..high."""
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, int)
+        or value < low
+        or (high is not None and value > high)
+    ):
+        bounds = f">= {low}" if high is None else f"in {low}..{high}"
+        raise ValueError(f"{what} must be an integer {bounds}, got {value!r}")
+
+
 @lru_cache(maxsize=None)
 def factorial(n: int) -> int:
     """Exact factorial of a non-negative integer (arbitrary precision)."""
-    if n < 0:
-        raise ValueError(f"factorial requires n >= 0, got {n}")
+    _check_int("factorial argument n", n, 0)
     return math.factorial(n)
-
-
-def _check_spin(S: int, minimum: int = 1) -> None:
-    if not isinstance(S, int) or isinstance(S, bool) or S < minimum:
-        raise ValueError(f"bulk spin must be an integer >= {minimum}, got {S!r}")
-
-
-def _check_sector(S: int, J: int) -> None:
-    if not isinstance(J, int) or not 0 <= J <= S:
-        raise ValueError(f"edge-spin sector J must satisfy 0 <= J <= S={S}, got {J!r}")
-
-
-def _check_length(L: int, minimum: int = 1) -> None:
-    if not isinstance(L, int) or L < minimum:
-        raise ValueError(f"length must be an integer >= {minimum}, got {L!r}")
 
 
 def _tfact(twice: int) -> int:
@@ -157,8 +178,7 @@ def three_j_zero(l1: int, l2: int, l3: int) -> SignedSqrtRational:
 
 
 def _check_jm(tj: int, tm: int, name: str) -> None:
-    if tj < 0:
-        raise ValueError(f"negative twice-spin {name}={tj}")
+    _check_int(f"twice-spin {name}", tj, 0)
     if (tj + tm) % 2:
         raise ValueError(
             f"parity mismatch for {name}: twice-spin {tj} and twice-magnetization {tm}"

@@ -15,12 +15,10 @@ import math
 import sys
 from fractions import Fraction
 
+from .angular import TOL
 from .spectrum import BlockSpectrum
 
 __all__ = ["InvalidSpectrumError", "von_neumann", "renyi"]
-
-_TRACE_TOL = 1e-12
-_NEGATIVE_TOL = -1e-10
 
 
 class InvalidSpectrumError(ValueError):
@@ -37,8 +35,8 @@ def _weights(spec: BlockSpectrum) -> tuple[tuple[float, int], ...]:
     """Validate the spectrum and return (eigenvalue, multiplicity) floats.
 
     Exact entries must sum to exactly 1 and be non-negative; float entries
-    must sum to 1 within 1e-12 and may dip to -1e-10 (oracle zero padding),
-    in which case they are clamped to zero.
+    must sum to 1 within ``TOL.roundoff`` and may dip to ``-TOL.zero`` (oracle
+    zero padding), in which case they are clamped to zero.
     """
     global _validated
     if _validated[0] is spec:
@@ -49,15 +47,15 @@ def _weights(spec: BlockSpectrum) -> tuple[tuple[float, int], ...]:
         if exact:
             if value < 0:
                 raise InvalidSpectrumError(f"negative exact eigenvalue {value}")
-        elif value < _NEGATIVE_TOL:
-            raise InvalidSpectrumError(f"eigenvalue {value} below {_NEGATIVE_TOL}")
+        elif value < -TOL.zero:
+            raise InvalidSpectrumError(f"eigenvalue {value} below {-TOL.zero}")
         weights.append((max(float(value), 0.0), mult))
     trace = spec.trace()
     if exact:
         if trace != 1:
             raise InvalidSpectrumError(f"exact spectrum has trace {trace}, expected 1")
-    elif abs(float(trace) - 1.0) > _TRACE_TOL:
-        raise InvalidSpectrumError(f"spectrum trace {float(trace)} is not 1 within {_TRACE_TOL}")
+    elif abs(float(trace) - 1.0) > TOL.roundoff:
+        raise InvalidSpectrumError(f"spectrum trace {float(trace)} is not 1 within {TOL.roundoff}")
     _validated = (spec, tuple(weights))
     return _validated[1]
 

@@ -8,6 +8,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..angular import TOL
+
 __all__ = [
     "DEFAULT_MAX_DIM",
     "MAX_STATE_ENTRIES",
@@ -21,8 +23,6 @@ __all__ = [
 DEFAULT_MAX_DIM = 4096  # dense matrices
 MAX_STATE_ENTRIES = 5_000_000  # dense state-vector entries
 
-_HERMITIAN_TOL = 1e-12
-
 
 class ResourceCapError(RuntimeError):
     """A requested object exceeds the configured size caps."""
@@ -33,14 +33,14 @@ def require_dim(dim: int, max_dim: int = DEFAULT_MAX_DIM, what: str = "matrix") 
         raise ResourceCapError(f"{what} dimension {dim} exceeds the cap {max_dim}")
 
 
-def require_hermitian(mat: np.ndarray, tol: float = _HERMITIAN_TOL) -> np.ndarray:
-    """Return ``mat`` as an ndarray after checking Hermiticity within tol."""
+def require_hermitian(mat: np.ndarray) -> np.ndarray:
+    """Return ``mat`` as an ndarray after checking Hermiticity within ``TOL.roundoff``."""
     mat = np.asarray(mat)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {mat.shape}")
     scale = max(np.abs(mat).max(), 1.0) if mat.size else 1.0
     deviation = np.abs(mat - mat.conj().T).max() if mat.size else 0.0
-    if deviation > tol * scale:
+    if deviation > TOL.roundoff * scale:
         raise ValueError(
             f"matrix is not Hermitian within tolerance: max deviation {deviation:.3e}"
         )
@@ -56,7 +56,7 @@ def eigenspectrum(mat: np.ndarray, max_dim: int = DEFAULT_MAX_DIM) -> list[float
 
 
 def numerical_rank(eigenvalues) -> int:
-    """Count eigenvalues above the zero cutoff 1e-10 * their number."""
+    """Count eigenvalues above the zero cutoff ``TOL.zero`` * their number."""
     values = list(eigenvalues)
-    cutoff = 1e-10 * len(values)
+    cutoff = TOL.zero * len(values)
     return sum(1 for v in values if v > cutoff)

@@ -31,9 +31,7 @@ import numpy as np
 
 from ..angular import (
     SignedSqrtRational,
-    _check_length,
-    _check_sector,
-    _check_spin,
+    _check_int,
     _coupling_prefactor_square,
     _racah_sum,
     _sqrt_exact,
@@ -149,8 +147,7 @@ class StateVector:
 
 def vacuum(nsites: int) -> StateVector:
     """Boson vacuum: every site has twice-spin 0 and amplitude 1."""
-    if nsites < 1:
-        raise ValueError(f"need at least one site, got {nsites}")
+    _check_int("site count", nsites, 1)
     return StateVector(spins=(0,) * nsites, amps={(0,) * nsites: Fraction(1)})
 
 
@@ -166,10 +163,11 @@ def valence_bond_power(state: StateVector, i: int, j: int, S: int) -> StateVecto
     (S-k, k) bosons at site i and (k, S-k) at site j with the signed binomial
     coefficient, i.e. twice-magnetization shifts (S-2k, 2k-S).
     """
-    if i == j or not 0 <= i < state.nsites or not 0 <= j < state.nsites:
-        raise ValueError(f"bond sites must be distinct and in range, got {(i, j)}")
-    if S < 1:
-        raise ValueError(f"bond power must be a positive integer, got {S}")
+    _check_int("bond site i", i, 0, state.nsites - 1)
+    _check_int("bond site j", j, 0, state.nsites - 1)
+    if i == j:
+        raise ValueError(f"bond sites must be distinct, got {(i, j)}")
+    _check_int("bond power", S, 1)
     new_amps: dict[tuple[int, ...], Fraction] = {}
     for k in range(S + 1):
         coeff = math.comb(S, k) * (-1 if k % 2 else 1)
@@ -192,8 +190,8 @@ def build_block_vbs(S: int, L: int) -> StateVector:
 
     End sites carry S bosons (spin S/2) and bulk sites 2S bosons (spin S).
     """
-    _check_spin(S)
-    _check_length(L, minimum=2)
+    _check_int("bulk spin", S, 1)
+    _check_int("length", L, 2)
     state = vacuum(L)
     for site in range(L - 1):
         state = valence_bond_power(state, site, site + 1, S)
@@ -202,19 +200,12 @@ def build_block_vbs(S: int, L: int) -> StateVector:
 
 def build_full_vbs(S: int, N: int) -> StateVector:
     """Open-chain VBS state: N bulk spin-S sites, spin-S/2 ends, N+1 bonds."""
-    _check_spin(S)
-    _check_length(N)
+    _check_int("bulk spin", S, 1)
+    _check_int("bulk site count N", N, 1)
     state = vacuum(N + 2)
     for site in range(N + 1):
         state = valence_bond_power(state, site, site + 1, S)
     return state
-
-
-def _check_edge(S: int, J: int, M: int) -> None:
-    _check_spin(S)
-    _check_sector(S, J)
-    if not isinstance(M, int) or abs(M) > J:
-        raise ValueError(f"edge magnetization M must satisfy |M| <= J={J}, got {M!r}")
 
 
 def _pair_terms(S: int, J: int, M: int):
@@ -239,7 +230,9 @@ def _pair_terms(S: int, J: int, M: int):
 
 def edge_pair_state(S: int, J: int, M: int) -> StateVector:
     """Normalized two-site state of the boundary pair: |J, M> of two spin-S/2."""
-    _check_edge(S, J, M)
+    _check_int("bulk spin", S, 1)
+    _check_int("edge-spin sector J", J, 0, S)
+    _check_int("edge magnetization M", M, -J, J)
     prefactor_square, terms = _pair_terms(S, J, M)
     amps = {(tm1, tm2): rational for tm1, tm2, rational in terms}
     return StateVector(
@@ -264,7 +257,8 @@ def apply_psi_dagger(state: StateVector, J: int, M: int) -> StateVector:
         ts != 2 * S for ts in state.spins[1:-1]
     ):
         raise ValueError("expected a block VBS state with spin-S/2 end sites")
-    _check_edge(S, J, M)
+    _check_int("edge-spin sector J", J, 0, S)
+    _check_int("edge magnetization M", M, -J, J)
     prefactor_square, terms = _pair_terms(S, J, M)
     last = state.nsites - 1
     new_amps: dict[tuple[int, ...], Fraction] = {}
@@ -297,6 +291,12 @@ def degenerate_states(S: int, L: int) -> dict[tuple[int, int], StateVector]:
     }
 
 
+def _check_block(state: StateVector, start: int, length: int) -> None:
+    """The block must be a contiguous run of the state's sites."""
+    _check_int("block length", length, 1, state.nsites)
+    _check_int("block start", start, 0, state.nsites - length)
+
+
 def _block_factor(
     state: StateVector, start: int, length: int, max_dim: int, what: str
 ) -> np.ndarray:
@@ -305,10 +305,7 @@ def _block_factor(
     Rows run site-major over the block (earliest block site fastest), columns
     over the sites outside it, so the block density matrix is F F^T.
     """
-    if length < 1 or start < 0 or start + length > state.nsites:
-        raise ValueError(
-            f"block (start={start}, length={length}) is not a valid site range"
-        )
+    _check_block(state, start, length)
     dims = state.dims
     d_left = math.prod(dims[:start])
     d_block = math.prod(dims[start : start + length])
@@ -345,10 +342,10 @@ def fock_block_spectrum(
     singular values of F, padded with exact zeros to the block dimension;
     rho itself is never formed. ``max_dim`` caps the block dimension.
     """
+    _check_int("length", L, 1)
     if N is None:
         N = L
-    if not (1 <= start and start + L - 1 <= N):
-        raise ValueError(f"block of length {L} at start {start} does not fit N={N}")
+    _check_int(f"block start for length {L} in N={N}", start, 1, N - L + 1)
     factor = _block_factor(build_full_vbs(S, N), start, L, max_dim, "density matrix")
     values = np.linalg.svd(factor, compute_uv=False) ** 2
     return [float(v) for v in values] + [0.0] * (len(factor) - len(values))
@@ -368,10 +365,7 @@ def correlator_reconstruction(
     cross-check between two independent routes. Row/column index is
     site-major over the block (earliest block site fastest).
     """
-    if length < 1 or start < 0 or start + length > state.nsites:
-        raise ValueError(
-            f"block (start={start}, length={length}) is not a valid site range"
-        )
+    _check_block(state, start, length)
     stop = start + length
     block_spins = state.spins[start:stop]
     env_spins = state.spins[:start] + state.spins[stop:]
@@ -407,15 +401,13 @@ def partial_inner_identity_check(S: int, L: int, J: int, M: int) -> float:
     |J, M> must reproduce (-1)^(S-J+M) (S!)^2 times the degenerate block
     state for (J, -M). Both sides are built independently.
     """
-    _check_edge(S, J, M)
+    pair_state = edge_pair_state(S, J, M)
     full = build_full_vbs(S, L)
     dims = full.dims
     d_end = dims[0]
     d_block = math.prod(dims[1:-1])
     psi = full.to_dense(normalized=False).reshape((d_end, d_block, d_end), order="F")
-    pair = edge_pair_state(S, J, M).to_dense(normalized=False).reshape(
-        (d_end, d_end), order="F"
-    )
+    pair = pair_state.to_dense(normalized=False).reshape((d_end, d_end), order="F")
     lhs = np.einsum("abc,ac->b", psi, pair)
     block = build_block_vbs(S, L)
     rhs_state = apply_psi_dagger(block, J, -M)
@@ -488,19 +480,17 @@ def states_equal_exact(u: StateVector, v: StateVector) -> bool:
     return not diff.amps
 
 
-def total_spin_checks(
-    state: StateVector, J: int | None = None, M: int | None = None
-) -> dict[str, float]:
+def total_spin_checks(state: StateVector) -> dict[str, float]:
     """Relative residuals of the edge quantum numbers of a degenerate state.
 
-    Verifies (S^z_tot - M)|v> = 0 and (S^2_tot - J(J+1))|v> = 0, with
-    S^2 = S^- S^+ + S^z(S^z + 1), all in exact arithmetic; the residual
-    norms are converted to floats only for reporting.
+    Verifies (S^z_tot - M)|v> = 0 and (S^2_tot - J(J+1))|v> = 0 for the
+    state's (J, M) ``sector`` tag, with S^2 = S^- S^+ + S^z(S^z + 1), all in
+    exact arithmetic; the residual norms are converted to floats only for
+    reporting.
     """
-    if J is None or M is None:
-        if state.sector is None:
-            raise ValueError("state carries no (J, M) tag; pass J and M explicitly")
-        J, M = state.sector
+    if state.sector is None:
+        raise ValueError("state carries no (J, M) tag")
+    J, M = state.sector
     norm = math.sqrt(float(state.norm_square_exact()))
     if norm == 0:
         raise ValueError("zero state")

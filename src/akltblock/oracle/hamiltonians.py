@@ -15,7 +15,7 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from ..angular import _check_length, _check_spin, _triangle_ok, clebsch_gordan
+from ..angular import TOL, _check_int, _triangle_ok, clebsch_gordan
 from .dense import DEFAULT_MAX_DIM, require_dim
 
 __all__ = [
@@ -37,8 +37,7 @@ def pair_projector(two_j1: int, two_j2: int, two_jbond: int) -> np.ndarray:
     with a spin-S site.
     """
     for name, tj in (("first site", two_j1), ("second site", two_j2), ("bond", two_jbond)):
-        if not isinstance(tj, int) or tj < 0:
-            raise ValueError(f"twice-spin of {name} must be a non-negative integer, got {tj!r}")
+        _check_int(f"twice-spin of {name}", tj, 0)
     if not _triangle_ok(two_j1, two_j2, two_jbond):
         raise ValueError(
             f"bond spin 2J={two_jbond} violates the triangle rule for sites "
@@ -66,8 +65,7 @@ def embed_pair(pair_op: np.ndarray, dims: Sequence[int], site: int) -> np.ndarra
     factor, so the embedding is I_after (x) pair_op (x) I_before.
     """
     dims = tuple(dims)
-    if not 0 <= site <= len(dims) - 2:
-        raise ValueError(f"pair at site {site} does not fit a chain of {len(dims)} sites")
+    _check_int(f"pair site in a chain of {len(dims)} sites", site, 0, len(dims) - 2)
     d_pair = dims[site] * dims[site + 1]
     if pair_op.shape != (d_pair, d_pair):
         raise ValueError(
@@ -85,8 +83,7 @@ def spin_matrices(two_j: int) -> tuple[np.ndarray, np.ndarray]:
     S_x, S_y and dot products follow from S_+; everything needed here stays
     real if contractions pair S_+ with S_- = S_+^T.
     """
-    if not isinstance(two_j, int) or two_j < 0:
-        raise ValueError(f"twice-spin must be a non-negative integer, got {two_j!r}")
+    _check_int("twice-spin", two_j, 0)
     d = two_j + 1
     sz = np.diag([(-two_j + 2 * i) / 2.0 for i in range(d)])
     sp = np.zeros((d, d))
@@ -116,8 +113,8 @@ def block_hamiltonian(
     the null space is the span of the degenerate block VBS states whatever
     the positive weights.
     """
-    _check_spin(S)
-    _check_length(L, minimum=2)
+    _check_int("bulk spin", S, 1)
+    _check_int("length", L, 2)
     weights = _coefficients(C, S, "bulk projector")
     dims = (2 * S + 1,) * L
     dim = math.prod(dims)
@@ -146,8 +143,8 @@ def unique_hamiltonian(
     S/2+1..3S/2 (twice-values S+2..3S) and weights ``D``, both in ascending J
     order, default all 1.
     """
-    _check_spin(S)
-    _check_length(N)
+    _check_int("bulk spin", S, 1)
+    _check_int("bulk site count N", N, 1)
     bulk_weights = _coefficients(C, S, "bulk projector")
     boundary_weights = _coefficients(D, S, "boundary projector")
     dims = (S + 1,) + (2 * S + 1,) * N + (S + 1,)
@@ -173,15 +170,14 @@ def unique_hamiltonian(
     return ham
 
 
-def null_space(
-    mat: np.ndarray, cutoff: float = 1e-8, max_dim: int = DEFAULT_MAX_DIM
-) -> np.ndarray:
+def null_space(mat: np.ndarray, max_dim: int = DEFAULT_MAX_DIM) -> np.ndarray:
     """Orthonormal basis (columns) of the numerical null space.
 
     Intended for positive semi-definite projector sums, whose spectral gap
-    above zero is O(0.1); the default cutoff sits far inside that gap.
+    above zero is O(0.1); the cutoff ``TOL.null_space`` sits far inside that
+    gap.
     """
     mat = np.asarray(mat)
     require_dim(mat.shape[0], max_dim, what="null-space computation")
     values, vectors = np.linalg.eigh(mat)
-    return vectors[:, values < cutoff]
+    return vectors[:, values < TOL.null_space]

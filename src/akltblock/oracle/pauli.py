@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..angular import _check_length
+from ..angular import TOL, _check_int
 from .dense import DEFAULT_MAX_DIM, MAX_STATE_ENTRIES, ResourceCapError, require_dim
 
 __all__ = [
@@ -37,8 +37,6 @@ _SIGMA = np.array(
 
 # Singlet as a (qubit1, qubit2) coefficient matrix: (|01> - |10>)/sqrt(2).
 _SINGLET = np.array([[0, 1], [-1, 0]], dtype=complex) / np.sqrt(2.0)
-
-_IMAG_TOL = 1e-12
 
 
 def _basis_matrix(beta: int) -> np.ndarray:
@@ -75,13 +73,12 @@ def pauli_density_matrix_spin1(L: int, max_dim: int = DEFAULT_MAX_DIM) -> np.nda
     the result is real symmetric with unit trace and rank 4. ``max_dim`` caps
     the dimension before any string product is formed.
     """
-    if not isinstance(L, int) or not 2 <= L <= 7:
-        raise ValueError(f"Pauli oracle supports block lengths 2..7, got {L!r}")
+    _check_int("length", L, 2)
     require_dim(3**L, max_dim)
     flat = _string_products(L).reshape(3**L, 4)
     rho = flat @ flat.conj().T / (2 * 3**L)
     worst = np.abs(rho.imag).max()
-    if worst > _IMAG_TOL:
+    if worst > TOL.roundoff:
         raise AssertionError(f"density matrix has imaginary residue {worst:.3e}")
     return rho.real
 
@@ -95,9 +92,8 @@ def pauli_ground_states_spin1(L: int, alpha: int) -> np.ndarray:
     factors; every contracted quantity (norms, overlaps, expectation values)
     comes out real.
     """
-    _check_length(L, minimum=2)
-    if alpha not in (0, 1, 2, 3):
-        raise ValueError(f"alpha must be one of 0..3, got {alpha!r}")
+    _check_int("length", L, 2)
+    _check_int("alpha", alpha, 0, 3)
     prefixes = _string_products(L - 1)
     # w_i = sigma_alpha . singlet . P_i^T is (sigma_alpha (x) P_i)|0>.
     w = np.einsum("ab,nbc->nac", _SIGMA[alpha] @ _SINGLET, prefixes.transpose(0, 2, 1))
@@ -116,7 +112,7 @@ def pauli_channel_identity_check(L: int) -> float:
     brute force and compares with sum_beta A_beta |beta><beta| where
     A_0 = (3^(L-1) + 3(-1)^(L-1))/4 and A_{1,2,3} = (3^(L-1) - (-1)^(L-1))/4.
     """
-    _check_length(L, minimum=2)
+    _check_int("length", L, 2)
     prefixes = _string_products(L - 1)
     w = np.einsum("ab,nbc->nac", _SINGLET, prefixes.transpose(0, 2, 1)).reshape(-1, 4)
     lhs = w.T @ w.conj()

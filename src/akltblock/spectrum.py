@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .angular import _check_length, _check_sector, _check_spin, factorial, three_j_zero
+from .angular import _check_int, factorial, three_j_zero
 
 __all__ = [
     "IPolynomial",
@@ -61,9 +61,8 @@ def lambda_coeff(l: int, S: int) -> Fraction:
     lambda(l+1)/lambda(l) = -(S-l)/(S+l+2), so the magnitude strictly decays
     with l. lambda(0, S) = 1 for every S.
     """
-    _check_spin(S, minimum=0)
-    if not 0 <= l <= S:
-        raise ValueError(f"multipole order must satisfy 0 <= l <= S={S}, got l={l}")
+    _check_int("bulk spin", S, 0)
+    _check_int("multipole order l", l, 0, S)
     value = Fraction(
         factorial(S) * factorial(S + 1), factorial(S - l) * factorial(S + l + 1)
     )
@@ -77,7 +76,7 @@ def legendre_expansion_residual(S: int, t: float) -> float:
     with P_l from the standard three-term recurrence. This is a numerical
     identity check; the exact pipeline never needs it.
     """
-    _check_spin(S)
+    _check_int("bulk spin", S, 1)
     lhs = (0.5 * (1.0 - t)) ** S
     acc = 0.0
     p_prev, p_cur = 0.0, 1.0  # P_{l-1}, P_l starting at l = 0
@@ -116,9 +115,8 @@ def i_polynomial(l: int, S: int) -> IPolynomial:
         I_{l+1} = (2l+1)/(S+l+2)^2 * (4x/(l+1) + l) * I_l
                   - l/(l+1) * ((S-l+1)/(S+l+2))^2 * I_{l-1}.
     """
-    _check_spin(S)
-    if not 0 <= l <= S:
-        raise ValueError(f"I_l is only needed for 0 <= l <= S={S}, got l={l}")
+    _check_int("bulk spin", S, 1)
+    _check_int("multipole order l", l, 0, S)
     prev = [Fraction(1)]  # I_0
     if l == 0:
         return IPolynomial(S, 0, tuple(prev))
@@ -220,9 +218,9 @@ def eigenvalue_recurrence(S: int, L: int, J: int) -> Fraction:
     Lambda(J) = (1/(S+1)^2) sum_{l=0}^{S} (2l+1) lambda(l,S)^(L-1) I_l(x(J))
     with x(J) = J(J+1)/2 - (S/2)(S/2+1).
     """
-    _check_spin(S)
-    _check_length(L)
-    _check_sector(S, J)
+    _check_int("bulk spin", S, 1)
+    _check_int("length", L, 1)
+    _check_int("edge-spin sector J", J, 0, S)
     return _damped_eigenvalue(_recurrence_weights, S, L, J)
 
 
@@ -232,9 +230,9 @@ def eigenvalue_closed(S: int, L: int, J: int) -> Fraction:
     Independent of ``eigenvalue_recurrence``: only squared 3j symbols at zero
     projections enter, so the whole sum stays rational.
     """
-    _check_spin(S)
-    _check_length(L)
-    _check_sector(S, J)
+    _check_int("bulk spin", S, 1)
+    _check_int("length", L, 1)
+    _check_int("edge-spin sector J", J, 0, S)
     return _damped_eigenvalue(_closed_weights, S, L, J)
 
 
@@ -244,8 +242,8 @@ def vbs_norm(S: int, N: int) -> Fraction:
     The chain has N bulk spin-S sites plus one spin-S/2 site at each end
     (N+1 valence bonds); the norm-square is [(2S+1)!/(S+1)]^N * S!(S+1)!.
     """
-    _check_spin(S)
-    _check_length(N, minimum=0)
+    _check_int("bulk spin", S, 1)
+    _check_int("bulk site count N", N, 0)
     return Fraction(factorial(2 * S + 1), S + 1) ** N * (factorial(S) * factorial(S + 1))
 
 
@@ -255,8 +253,8 @@ def degenerate_norm(S: int, L: int, J: int) -> Fraction:
     The value is independent of M. It rescales to the block eigenvalue:
     Lambda(J) = [(S+1)/(2S+1)!]^L * (S!S!/(S+1)) * degenerate_norm(S, L, J).
     """
-    _check_spin(S)
-    _check_length(L, minimum=2)
+    _check_int("bulk spin", S, 1)
+    _check_int("length", L, 2)
     scale = Fraction(factorial(2 * S + 1), S + 1) ** L * Fraction(S + 1, factorial(S) ** 2)
     return eigenvalue_closed(S, L, J) * scale
 
@@ -267,9 +265,8 @@ def spin1_closed(L: int, J: int) -> Fraction:
     Lambda(0) = (1 + 3(-1/3)^L)/4 and Lambda(1) = (1 - (-1/3)^L)/4 (the
     latter triply degenerate).
     """
-    _check_length(L)
-    if J not in (0, 1):
-        raise ValueError(f"spin-1 sectors are J=0 and J=1, got {J!r}")
+    _check_int("length", L, 1)
+    _check_int("spin-1 sector J", J, 0, 1)
     damping = Fraction(-1, 3) ** L
     if J == 0:
         return (1 + 3 * damping) / 4
@@ -282,8 +279,8 @@ def flat_limit_bound(S: int, J: int) -> Fraction:
     |Lambda(J) - 1/(S+1)^2| <= K(S,J) * |lambda(1,S)|^(L-1) with
     K(S,J) = (1/(S+1)^2) sum_{l=1}^{S} (2l+1) |I_l(x(J))|.
     """
-    _check_spin(S)
-    _check_sector(S, J)
+    _check_int("bulk spin", S, 1)
+    _check_int("edge-spin sector J", J, 0, S)
     return sum(abs(w) for w in _recurrence_weights(S)[J][1:])
 
 
@@ -318,13 +315,6 @@ class BlockSpectrum:
             )
         return sum(mult * value for _, value, mult in self.entries)
 
-    def eigenvalues(self) -> list:
-        """All eigenvalues expanded with multiplicity, descending."""
-        out = []
-        for _, value, mult in self.entries:
-            out.extend([value] * mult)
-        return sorted(out, reverse=True)
-
 
 def block_spectrum(S: int, L: int, method: str = "recurrence") -> BlockSpectrum:
     """Full exact spectrum (all sectors J = 0..S) by the named exact route."""
@@ -342,5 +332,5 @@ def block_spectrum(S: int, L: int, method: str = "recurrence") -> BlockSpectrum:
 
 def saturation_value(S: int) -> float:
     """Large-L entropy plateau 2 ln(S+1) in nats."""
-    _check_spin(S)
+    _check_int("bulk spin", S, 1)
     return 2.0 * math.log(S + 1)

@@ -18,6 +18,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from .angular import TOL
 from .oracle.dense import DEFAULT_MAX_DIM, MAX_STATE_ENTRIES, eigenspectrum, numerical_rank
 from .oracle.fock import (
     _block_factor,
@@ -67,9 +68,6 @@ __all__ = [
     "suite_appendix",
 ]
 
-_MATCH_TOL = 1e-9
-_ZERO_TOL = 1e-10
-
 
 class _Check:
     """One check record, fed one cell at a time.
@@ -112,15 +110,14 @@ class _Check:
 def match_spectrum(
     observed: Sequence[float],
     expected: Sequence[tuple[int, Fraction | float]],
-    tol: float = _MATCH_TOL,
-    zero_tol: float = _ZERO_TOL,
+    tol: float = TOL.match,
 ) -> tuple[bool, str, list[tuple[int | None, float, int]]]:
     """Match oracle eigenvalues against {Lambda(J) with multiplicity 2J+1}.
 
     In descending order of Lambda(J), each sector claims the 2J+1 closest
     unclaimed observed values. The verdict names the first claim off by more
     than ``tol``, else the first sector that runs out of values, else a
-    leftover above ``zero_tol``. A sector whose exact value is 0 never runs
+    leftover above ``TOL.zero``. A sector whose exact value is 0 never runs
     short: a block with fewer than (S+1)^2 states, such as one site (2S+1
     states, Lambda(J < S) = 0 at L = 1), has no room for those directions.
     Returns (ok, detail, rows): rows are (J, mean of the claimed values,
@@ -152,8 +149,8 @@ def match_spectrum(
     worst_leftover = max((abs(v) for v in remaining), default=0.0)
     if remaining:
         rows.append((None, worst_leftover, len(remaining)))
-    if worst_leftover > zero_tol and failure is None:
-        failure = f"leftover eigenvalue {worst_leftover:.3e} exceeds {zero_tol}"
+    if worst_leftover > TOL.zero and failure is None:
+        failure = f"leftover eigenvalue {worst_leftover:.3e} exceeds {TOL.zero}"
     detail = failure or f"max match dev {worst_match:.3e}, max leftover {worst_leftover:.3e}"
     return failure is None, detail, rows
 
@@ -164,7 +161,7 @@ def label_sectors(
     """``match_spectrum`` rows and verdict against the formula values of (S, L)."""
     ok, detail, rows = match_spectrum(observed, _formula_entries(S, L))
     if ok:
-        detail = f"matched formula values within {_MATCH_TOL}, leftovers below {_ZERO_TOL}"
+        detail = f"matched formula values within {TOL.match}, leftovers below {TOL.zero}"
     return rows, ok, detail
 
 
@@ -250,7 +247,7 @@ def suite_oracle(
     for N in (L, L + 1, L + 2):
         for start in range(1, N - L + 2):
             deviation = _spectra_close(reference, fock(L, N, start))
-            position.cell(deviation, _MATCH_TOL, S=S, L=L, N=N, start=start, deviation=deviation)
+            position.cell(deviation, TOL.match, S=S, L=L, N=N, start=start, deviation=deviation)
     checks.append(
         position.record(
             f"block spectrum independent of N and block position (max dev {position.worst:.3e})"
@@ -266,7 +263,7 @@ def suite_oracle(
             return checks
         gaps = ground_space_projector_gap(S=1, lengths=gap_lengths)
         shrinking = all(a > b for a, b in zip(gaps, gaps[1:]))
-        small_enough = gap_lengths[-1] < 10 or gaps[-1] < 1e-4
+        small_enough = gap_lengths[-1] < 10 or gaps[-1] < TOL.projector_gap
         gap.cell(not (shrinking and small_enough), lengths=gap_lengths, gaps=gaps)
         checks.append(
             gap.record(
@@ -291,7 +288,7 @@ def _pauli_checks(max_length: int, max_dim: int, fock) -> list[dict]:
     match = _Check("oracle", "pauli_spectrum_matches_formula")
     detail = ""
     for L in range(2, min(max_length, 7) + 1):
-        ok, detail, _ = match_spectrum(pauli(L), _formula_entries(1, L), tol=_ZERO_TOL)
+        ok, detail, _ = match_spectrum(pauli(L), _formula_entries(1, L), tol=TOL.zero)
         if not match.cell(not ok, S=1, L=L, detail=detail):
             break
     checks.append(match.record(f"L=2..{min(max_length, 7)}: " + detail))
@@ -316,7 +313,7 @@ def _pauli_checks(max_length: int, max_dim: int, fock) -> list[dict]:
             lam = float(eigenvalue_recurrence(1, L, 0 if alpha == 0 else 1))
             deviations.append(float(np.abs(rho @ g - lam * g).max()))
         deviation = max(deviations)
-        if not ground.cell(deviation, 1e-9, S=1, L=L, worst=deviation):
+        if not ground.cell(deviation, TOL.residual, S=1, L=L, worst=deviation):
             break
     checks.append(
         ground.record(f"norms, orthogonality, eigen-relation (worst dev {ground.worst:.3e})")
@@ -325,7 +322,7 @@ def _pauli_checks(max_length: int, max_dim: int, fock) -> list[dict]:
     channel = _Check("oracle", "pauli_channel_identity")
     for L in range(2, min(max_length, 5) + 1):
         residual = pauli_channel_identity_check(L)
-        channel.cell(residual, 1e-13, L=L, residual=residual)
+        channel.cell(residual, TOL.channel, L=L, residual=residual)
     checks.append(
         channel.record(f"L=2..{min(max_length, 5)}, worst residual {channel.worst:.3e}")
     )
@@ -333,7 +330,7 @@ def _pauli_checks(max_length: int, max_dim: int, fock) -> list[dict]:
     routes = _Check("oracle", "pauli_equals_fock")
     for L in range(2, min(max_length, 6) + 1):
         deviation = _spectra_close(fock(L, L, 1), pauli(L))
-        routes.cell(deviation, _ZERO_TOL, L=L, deviation=deviation)
+        routes.cell(deviation, TOL.zero, L=L, deviation=deviation)
     checks.append(
         routes.record(
             f"two oracle routes agree, L=2..{min(max_length, 6)} (max dev {routes.worst:.3e})"
@@ -398,7 +395,7 @@ def suite_hamiltonian(
     # One cell: its counterexample reports the worst deviation over every pair.
     worst = max(deviations)
     algebra = _Check("hamiltonian", "projector_algebra")
-    algebra.cell(worst, 1e-12, S=S, worst=worst)
+    algebra.cell(worst, TOL.roundoff, S=S, worst=worst)
     checks.append(
         algebra.record(
             f"P^2=P, tr P = 2J+1, completeness for S-S and S/2-S pairs (worst {worst:.3e})"
@@ -419,7 +416,7 @@ def suite_hamiltonian(
         )
         info.append(f"L={L}: null dim {dim_null}, residual {residual:.1e}")
         if not ground.cell(
-            dim_null != (S + 1) ** 2 or residual > 1e-9 or lowest < -1e-10,
+            dim_null != (S + 1) ** 2 or residual > TOL.residual or lowest < -TOL.zero,
             S=S,
             L=L,
             null_dimension=dim_null,
@@ -444,7 +441,7 @@ def suite_hamiltonian(
         overlap = float(np.abs(basis.T @ vbs).max()) if basis.shape[1] else 0.0
         info.append(f"N={N}: null dim {basis.shape[1]}, residual {residual:.1e}")
         if not unique.cell(
-            basis.shape[1] != 1 or residual > 1e-9 or abs(overlap - 1.0) > 1e-9,
+            basis.shape[1] != 1 or residual > TOL.residual or abs(overlap - 1.0) > TOL.residual,
             S=S,
             N=N,
             null_dimension=basis.shape[1],
@@ -475,7 +472,7 @@ def suite_appendix(max_spin: int = 2) -> list[dict]:
         traced = reduced_density_matrix(full, 1, L)
         rebuilt = correlator_reconstruction(full, 1, L)
         deviation = float(np.abs(traced - rebuilt).max())
-        correlator.cell(deviation, 1e-10, S=1, L=L, deviation=deviation)
+        correlator.cell(deviation, TOL.zero, S=1, L=L, deviation=deviation)
     checks.append(
         correlator.record(f"S=1, N=3, L=2..3 entrywise (worst {correlator.worst:.3e})")
     )
@@ -485,7 +482,7 @@ def suite_appendix(max_spin: int = 2) -> list[dict]:
         for J in range(S + 1):
             for M in range(-J, J + 1):
                 residual = partial_inner_identity_check(S, 2, J, M)
-                inner.cell(residual, 1e-10, S=S, L=2, J=J, M=M, residual=residual)
+                inner.cell(residual, TOL.zero, S=S, L=2, J=J, M=M, residual=residual)
     checks.append(
         inner.record(
             f"boundary contraction identity, S<={min(max_spin, 2)}, L=2, all (J,M) "
@@ -500,11 +497,11 @@ def suite_appendix(max_spin: int = 2) -> list[dict]:
         for (J, M), state in states.items():
             residuals = total_spin_checks(state)
             residual = max(residuals["sz_residual"], residuals["casimir_residual"])
-            spin.cell(residual, 1e-9, S=S, L=L, J=J, M=M, **residuals)
+            spin.cell(residual, TOL.residual, S=S, L=L, J=J, M=M, **residuals)
         for J in range(1, S + 1):
             for M in range(-J, J):
                 residual = ladder_residual(states[(J, M)], states[(J, M + 1)])
-                spin.cell(residual, 1e-9, S=S, L=L, J=J, M=M, ladder=residual)
+                spin.cell(residual, TOL.residual, S=S, L=L, J=J, M=M, ladder=residual)
         top, singlet = states[(S, S)], states[(0, 0)]
         spin.cell(
             bool(apply_spin_raising(top).amps),

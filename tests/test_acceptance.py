@@ -113,7 +113,7 @@ def test_criterion_4_fock_oracle_matches_formulas():
         for S, L in _ORACLE_GRID:
             observed = fock_block_spectrum(S, L)
             expected = [(J, eigenvalue_recurrence(S, L, J)) for J in range(S + 1)]
-            ok, detail, _ = match_spectrum(observed, expected, tol=1e-9, zero_tol=1e-10)
+            ok, detail, _ = match_spectrum(observed, expected, tol=1e-9)
             assert ok, f"(S={S}, L={L}): {detail}"
 
 
@@ -183,7 +183,7 @@ def test_criterion_8_pauli_string_oracle():
             rho = pauli_density_matrix_spin1(L)
             observed = eigenspectrum(rho, max_dim=3 ** 7)
             expected = [(J, spin1_closed(L, J)) for J in (0, 1)]
-            ok, detail, _ = match_spectrum(observed, expected, tol=1e-10, zero_tol=1e-10)
+            ok, detail, _ = match_spectrum(observed, expected, tol=1e-10)
             assert ok, f"L={L}: {detail}"   # includes the vanishing complement
         for L in range(2, 6):
             sign = (-1.0) ** L
@@ -208,7 +208,7 @@ def test_criterion_9_appendix_identities():
         for S, L in [(1, 3), (2, 2)]:
             states = degenerate_states(S, L)
             for (J, M), state in states.items():
-                checks = total_spin_checks(state, J=J, M=M)
+                checks = total_spin_checks(state)
                 assert checks["sz_residual"] < 1e-9, (S, L, J, M)
                 assert checks["casimir_residual"] < 1e-9, (S, L, J, M)
             for J in range(S + 1):

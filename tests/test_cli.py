@@ -380,13 +380,18 @@ def test_refused_pauli_run_builds_no_string_products(capsys, monkeypatch):
         raise AssertionError("string products built past the cap")
 
     monkeypatch.setattr(pauli, "_string_products", forbidden)
-    code, out, err = run_cli(
-        capsys, "spectrum", "--spin", "1", "--length", "7",
-        "--method", "pauli_oracle", "--max-dim", "100",
-    )
-    assert code == 3
-    assert out == ""
-    assert err == "error: matrix dimension 2187 exceeds the cap 100\n"
+    # L = 8 at the default cap: the dimension cap is the only upper limit
+    cases = [
+        (["--length", "7", "--max-dim", "100"], "2187 exceeds the cap 100"),
+        (["--length", "8"], "6561 exceeds the cap 4096"),
+    ]
+    for argv, message in cases:
+        code, out, err = run_cli(
+            capsys, "spectrum", "--spin", "1", "--method", "pauli_oracle", *argv
+        )
+        assert code == 3
+        assert out == ""
+        assert err == f"error: matrix dimension {message}\n"
 
 
 @pytest.mark.parametrize("value", ["0", "-3"])

@@ -207,7 +207,7 @@ def test_correlator_reconstruction_equals_partial_trace():
 def test_degenerate_states_have_sharp_quantum_numbers():
     for S, L in [(1, 3), (2, 2)]:
         for (J, M), state in degenerate_states(S, L).items():
-            checks = total_spin_checks(state, J=J, M=M)
+            checks = total_spin_checks(state)
             assert checks["sz_residual"] == 0.0
             assert checks["casimir_residual"] == 0.0
 

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from akltblock.oracle import (
+    ResourceCapError,
     eigenspectrum,
     entangled_basis,
     fock_block_spectrum,
@@ -75,8 +76,8 @@ def test_pauli_and_fock_routes_agree(L):
 def test_density_matrix_length_bounds():
     with pytest.raises(ValueError):
         pauli_density_matrix_spin1(1)
-    with pytest.raises(ValueError):
-        pauli_density_matrix_spin1(8)
+    with pytest.raises(ResourceCapError):
+        pauli_density_matrix_spin1(8)  # 3^8 = 6561 > the default 4096 cap
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import akltblock.spectrum as spectrum
+from akltblock.oracle import fock_block_spectrum
 from akltblock.spectrum import (
     EXACT_METHODS,
     BlockSpectrum,
@@ -73,6 +74,23 @@ def test_lambda_out_of_range():
         lambda_coeff(3, 2)
     with pytest.raises(ValueError):
         lambda_coeff(1, 0)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: block_spectrum(1, True),
+        lambda: eigenvalue_recurrence(2, 3, True),
+        lambda: lambda_coeff(True, 2),
+        lambda: spin1_closed(True, True),
+        lambda: fock_block_spectrum(1, True),
+    ],
+    ids=["block_L", "recurrence_J", "lambda_l", "spin1_closed", "fock_L"],
+)
+def test_integer_arguments_reject_bool(call):
+    # bool is an int subclass; the shared validator refuses it everywhere
+    with pytest.raises(ValueError):
+        call()
 
 
 def test_legendre_expansion_residual_hand_points():
@@ -327,9 +345,6 @@ def test_block_spectrum_structure():
     assert spec.S == 2 and spec.L == 3 and spec.method == "closed_form"
     assert [(J, mult) for J, _, mult in spec.entries] == [(0, 1), (1, 3), (2, 5)]
     assert spec.trace() == 1
-    eigs = spec.eigenvalues()
-    assert len(eigs) == 9
-    assert sorted(eigs, reverse=True) == eigs
 
 
 def test_block_spectrum_methods():
