@@ -22,9 +22,9 @@ from fractions import Fraction
 
 from . import __version__
 from .entropy import renyi
-from .oracle.dense import DEFAULT_MAX_DIM, ResourceCapError, eigenspectrum
+from .oracle.dense import DEFAULT_MAX_DIM, ResourceCapError
 from .oracle.fock import fock_block_spectrum
-from .oracle.pauli import pauli_density_matrix_spin1
+from .oracle.pauli import pauli_block_spectrum
 from .spectrum import EXACT_METHODS, block_spectrum, saturation_value
 from .verify import SUITES, _Check, label_sectors, run_suite
 
@@ -48,8 +48,7 @@ def _oracle_values(args: argparse.Namespace, method: str, L: int) -> list[float]
         return fock_block_spectrum(args.spin, L, max_dim=args.max_dim)
     if args.spin != 1:
         raise UsageError("pauli_oracle supports bulk spin 1 only")
-    rho = pauli_density_matrix_spin1(L, max_dim=args.max_dim)
-    return eigenspectrum(rho, max_dim=args.max_dim)
+    return pauli_block_spectrum(L, max_dim=args.max_dim)
 
 
 _ROW_FIELDS = ("S", "L", "J", "lambda_exact", "lambda_float", "multiplicity", "method")
@@ -296,7 +295,7 @@ def _add_common(parser: argparse.ArgumentParser, *, lengths_default: str | None)
         "--max-dim",
         type=_positive_dim,
         default=DEFAULT_MAX_DIM,
-        help="dense-matrix dimension cap (positive integer)",
+        help="dimension cap (positive integer) on dense matrices and on oracle blocks",
     )
     parser.add_argument("--out", default=None, help="write the document to this path instead of stdout")
 
@@ -375,8 +374,12 @@ def main(argv: list[str] | None = None) -> int:
         else _render_csv(doc, args.command)
     )
     if args.out:
-        with open(args.out, "w", newline="") as handle:
-            handle.write(text)
+        try:
+            with open(args.out, "w", newline="") as handle:
+                handle.write(text)
+        except OSError as exc:
+            print(f"error: cannot write {args.out}: {exc.strerror}", file=sys.stderr)
+            return EXIT_USAGE
     else:
         sys.stdout.write(text)
     return code

@@ -46,6 +46,7 @@ from .hamiltonians import (
 )
 from .pauli import (
     entangled_basis,
+    pauli_block_spectrum,
     pauli_channel_identity_check,
     pauli_density_matrix_spin1,
     pauli_ground_states_spin1,
@@ -84,6 +85,7 @@ __all__ = [
     "block_hamiltonian",
     "unique_hamiltonian",
     "null_space",
+    "pauli_block_spectrum",
     "pauli_density_matrix_spin1",
     "pauli_ground_states_spin1",
     "pauli_channel_identity_check",

@@ -2,6 +2,8 @@
 
 Matrices are plain numpy arrays (real in every basis this package uses);
 dimension caps keep accidental exponential blow-ups from freezing a run.
+Oracle block spectra come from a (block x rest) factor of the density
+matrix through :func:`factor_spectrum`, never from the matrix itself.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ __all__ = [
     "require_dim",
     "require_hermitian",
     "eigenspectrum",
+    "factor_spectrum",
     "numerical_rank",
 ]
 
@@ -53,6 +56,16 @@ def eigenspectrum(mat: np.ndarray, max_dim: int = DEFAULT_MAX_DIM) -> list[float
     require_dim(mat.shape[0], max_dim)
     values = np.linalg.eigvalsh(mat)
     return [float(v) for v in values[::-1]]
+
+
+def factor_spectrum(factor: np.ndarray) -> list[float]:
+    """Eigenvalues (descending) of ``F F^dag`` for a (block x rest) factor F.
+
+    They are the squared singular values of F, padded with exact zeros to
+    the block dimension; F F^dag itself is never formed.
+    """
+    values = np.linalg.svd(factor, compute_uv=False) ** 2
+    return [float(v) for v in values] + [0.0] * (len(factor) - len(values))
 
 
 def numerical_rank(eigenvalues) -> int:

@@ -41,6 +41,7 @@ from .dense import (
     DEFAULT_MAX_DIM,
     MAX_STATE_ENTRIES,
     ResourceCapError,
+    factor_spectrum,
     require_dim,
 )
 
@@ -338,17 +339,16 @@ def fock_block_spectrum(
 
     Builds the full chain with N bulk sites (default N = L) and cuts it into
     bulk sites start..start+L-1 and the rest. With F that (block x
-    environment) factor, rho = F F^T, so its eigenvalues are the squared
-    singular values of F, padded with exact zeros to the block dimension;
-    rho itself is never formed. ``max_dim`` caps the block dimension.
+    environment) factor, rho = F F^T, and :func:`~.dense.factor_spectrum`
+    takes its eigenvalues from F; rho itself is never formed. ``max_dim``
+    caps the block dimension.
     """
     _check_int("length", L, 1)
     if N is None:
         N = L
     _check_int(f"block start for length {L} in N={N}", start, 1, N - L + 1)
     factor = _block_factor(build_full_vbs(S, N), start, L, max_dim, "density matrix")
-    values = np.linalg.svd(factor, compute_uv=False) ** 2
-    return [float(v) for v in values] + [0.0] * (len(factor) - len(values))
+    return factor_spectrum(factor)
 
 
 def correlator_reconstruction(

@@ -6,6 +6,9 @@ Each spin-1 site is carried by a two-qubit maximally entangled triplet: with
 string (alpha_1..alpha_L). Density-matrix entries reduce to traces of Pauli
 products via <0|(I (x) A)|0> = Tr(A)/2, which makes this an independent route
 to the block spectrum: no Schwinger bosons, no Clebsch-Gordan machinery.
+The block density matrix is F F^dag for a (3^L x 4) factor F of string
+products, so its spectrum is read off F and the 3^L-square matrix is only
+formed on request (:func:`pauli_density_matrix_spin1`).
 
 Strings are indexed site-major with site 1 fastest:
 ``index = sum_j (alpha_j - 1) * 3^(j-1)``.
@@ -16,9 +19,16 @@ from __future__ import annotations
 import numpy as np
 
 from ..angular import TOL, _check_int
-from .dense import DEFAULT_MAX_DIM, MAX_STATE_ENTRIES, ResourceCapError, require_dim
+from .dense import (
+    DEFAULT_MAX_DIM,
+    MAX_STATE_ENTRIES,
+    ResourceCapError,
+    factor_spectrum,
+    require_dim,
+)
 
 __all__ = [
+    "pauli_block_spectrum",
     "pauli_density_matrix_spin1",
     "pauli_ground_states_spin1",
     "pauli_channel_identity_check",
@@ -66,21 +76,44 @@ def _string_products(L: int) -> np.ndarray:
     return products
 
 
-def pauli_density_matrix_spin1(L: int, max_dim: int = DEFAULT_MAX_DIM) -> np.ndarray:
-    """Block density matrix over alpha-strings, dimension 3^L.
+def _string_factor(L: int, max_dim: int) -> np.ndarray:
+    """Block density-matrix factor F over alpha-strings, shape (3^L, 4).
 
-    Entry (a, b) is Tr(N_b^dag M_a) / (2*3^L) with M_a = sigma_{a_L}...sigma_{a_1};
-    the result is real symmetric with unit trace and rank 4. ``max_dim`` caps
-    the dimension before any string product is formed.
+    Row a is M_a = sigma_{a_L}...sigma_{a_1} flattened and scaled by
+    1/sqrt(2*3^L), so rho = F F^dag has entries Tr(M_b^dag M_a) / (2*3^L).
+    ``max_dim`` caps the dimension 3^L before any string product is formed.
+    rho must be real: with F = F_R + i F_I and [F_R F_I] = Q [R_R R_I],
+    Im(rho) = F_I F_R^T - F_R F_I^T = Q (R_I R_R^T - R_R R_I^T) Q^T, whose
+    spectral norm, a bound on every entry, comes from that 4-column R alone.
     """
-    _check_int("length", L, 2)
+    _check_int("length", L, 1)
     require_dim(3**L, max_dim)
-    flat = _string_products(L).reshape(3**L, 4)
-    rho = flat @ flat.conj().T / (2 * 3**L)
-    worst = np.abs(rho.imag).max()
-    if worst > TOL.roundoff:
-        raise AssertionError(f"density matrix has imaginary residue {worst:.3e}")
-    return rho.real
+    factor = _string_products(L).reshape(3**L, 4) / np.sqrt(2 * 3**L)
+    r = np.linalg.qr(np.hstack([factor.real, factor.imag]), mode="r")
+    r_real, r_imag = r[:, :4], r[:, 4:]
+    residue = np.linalg.norm(r_imag @ r_real.T - r_real @ r_imag.T, 2)
+    if residue > TOL.roundoff:
+        raise AssertionError(f"density matrix has imaginary residue {residue:.3e}")
+    return factor
+
+
+def pauli_block_spectrum(L: int, max_dim: int = DEFAULT_MAX_DIM) -> list[float]:
+    """Eigenvalues (descending) of the block density matrix, dimension 3^L.
+
+    Taken from the rank-4 string factor by :func:`~.dense.factor_spectrum`;
+    the 3^L-square matrix is never formed. A one-site block gives I/3.
+    """
+    return factor_spectrum(_string_factor(L, max_dim))
+
+
+def pauli_density_matrix_spin1(L: int, max_dim: int = DEFAULT_MAX_DIM) -> np.ndarray:
+    """Block density matrix over alpha-strings, dimension 3^L, as a dense matrix.
+
+    Real symmetric with unit trace and rank 4 (I/3 at L = 1); ``max_dim``
+    caps the dimension before any string product is formed.
+    """
+    factor = _string_factor(L, max_dim)
+    return (factor @ factor.conj().T).real
 
 
 def pauli_ground_states_spin1(L: int, alpha: int) -> np.ndarray:

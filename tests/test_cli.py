@@ -89,6 +89,24 @@ def test_fock_oracle_single_site_block(capsys, spin):
     assert all(c["passed"] for c in doc["checks"])
 
 
+def test_both_oracles_label_one_site_blocks_alike(capsys):
+    code, out, _ = run_cli(
+        capsys, "spectrum", "--spin", "1", "--length", "1..2",
+        "--method", "fock_oracle,pauli_oracle",
+    )
+    assert code == 0
+    doc = json.loads(out)
+    assert all(c["passed"] for c in doc["checks"])
+    rows = {"fock": [], "pauli": []}
+    for r in doc["results"]:
+        method, _, suffix = r["method"].partition("_oracle")
+        rows[method].append((r["L"], r["J"], r["multiplicity"], suffix, r["lambda_float"]))
+    fock, pauli = rows["fock"], rows["pauli"]
+    assert [row[:4] for row in fock] == [row[:4] for row in pauli]
+    assert fock[0] == (1, 1, 3, "", pytest.approx(1 / 3, abs=1e-12))
+    assert [row[4] for row in fock] == pytest.approx([row[4] for row in pauli], abs=1e-12)
+
+
 def test_spectrum_length_range(capsys):
     code, out, _ = run_cli(capsys, "spectrum", "--spin", "1", "--length", "2..4")
     assert code == 0
@@ -124,6 +142,18 @@ def test_spectrum_out_file(tmp_path, capsys):
     assert out == ""
     doc = json.loads(target.read_text())
     assert doc["results"]
+
+
+@pytest.mark.parametrize("target", ["", "missing/spec.json"])
+def test_unwritable_out_is_a_usage_error(tmp_path, capsys, target):
+    # a directory, then a file in a directory that does not exist
+    path = tmp_path / target
+    code, out, err = run_cli(
+        capsys, "spectrum", "--spin", "1", "--length", "2", "--out", str(path)
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: cannot write {path}: ")
 
 
 @pytest.mark.parametrize("output_format", ["json", "csv"])

@@ -9,15 +9,18 @@ and against the independent boson-polynomial oracle.
 import numpy as np
 import pytest
 
+from akltblock.angular import TOL
 from akltblock.oracle import (
     ResourceCapError,
     eigenspectrum,
     entangled_basis,
     fock_block_spectrum,
+    pauli_block_spectrum,
     pauli_channel_identity_check,
     pauli_density_matrix_spin1,
     pauli_ground_states_spin1,
 )
+from akltblock.oracle import pauli
 from akltblock.spectrum import spin1_closed
 from akltblock.verify import match_spectrum
 
@@ -75,9 +78,36 @@ def test_pauli_and_fock_routes_agree(L):
 
 def test_density_matrix_length_bounds():
     with pytest.raises(ValueError):
-        pauli_density_matrix_spin1(1)
+        pauli_density_matrix_spin1(0)
     with pytest.raises(ResourceCapError):
         pauli_density_matrix_spin1(8)  # 3^8 = 6561 > the default 4096 cap
+
+
+def test_one_site_block_is_maximally_mixed():
+    assert pauli_block_spectrum(1) == pytest.approx([1 / 3] * 3, abs=1e-15)
+    assert np.max(np.abs(pauli_density_matrix_spin1(1) - np.eye(3) / 3)) < 1e-15
+
+
+@pytest.mark.parametrize("L", [1, 2, 3, 4, 5, 6])
+def test_factor_spectrum_equals_dense_spectrum(L):
+    factored = pauli_block_spectrum(L)
+    dense = eigenspectrum(pauli_density_matrix_spin1(L))
+    assert len(factored) == len(dense) == 3**L
+    assert max(abs(a - b) for a, b in zip(factored, dense)) < TOL.zero
+
+
+def test_imaginary_residue_is_refused_on_both_routes(monkeypatch):
+    real = pauli._string_products
+
+    def dephased(L):
+        # a distinct phase per string makes Tr(M_b^dag M_a) complex
+        products = real(L)
+        return products * np.exp(0.1j * np.arange(len(products)))[:, None, None]
+
+    monkeypatch.setattr(pauli, "_string_products", dephased)
+    for route in (pauli_block_spectrum, pauli_density_matrix_spin1):
+        with pytest.raises(AssertionError, match="imaginary residue"):
+            route(3)
 
 
 # ---------------------------------------------------------------------------
