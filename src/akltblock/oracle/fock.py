@@ -152,9 +152,29 @@ def vacuum(nsites: int) -> StateVector:
     return StateVector(spins=(0,) * nsites, amps={(0,) * nsites: Fraction(1)})
 
 
-def _check_entries(count: int) -> None:
-    if count > MAX_STATE_ENTRIES:
-        raise ResourceCapError(f"amplitude map of {count} entries exceeds the cap {MAX_STATE_ENTRIES}")
+def _apply_pair(state: StateVector, i: int, j: int, terms, bosons: int, scale, sector=None):
+    """Add ``bosons`` bosons at sites i and j, exactly, with the given terms.
+
+    Each term (dtm_i, dtm_j, coefficient) shifts the twice-magnetizations of
+    the two sites and multiplies the amplitude by the rational coefficient.
+    The amplitude map is capped at ``MAX_STATE_ENTRIES``.
+    """
+    new_amps: dict[tuple[int, ...], Fraction] = {}
+    for di, dj, coeff in terms:
+        for key, amp in state.amps.items():
+            new_key = list(key)
+            new_key[i] += di
+            new_key[j] += dj
+            new_key = tuple(new_key)
+            new_amps[new_key] = new_amps.get(new_key, Fraction(0)) + coeff * amp
+    if len(new_amps) > MAX_STATE_ENTRIES:
+        raise ResourceCapError(
+            f"amplitude map of {len(new_amps)} entries exceeds the cap {MAX_STATE_ENTRIES}"
+        )
+    spins = list(state.spins)
+    spins[i] += bosons
+    spins[j] += bosons
+    return StateVector(spins=tuple(spins), amps=new_amps, scale=scale, sector=sector)
 
 
 def valence_bond_power(state: StateVector, i: int, j: int, S: int) -> StateVector:
@@ -169,21 +189,8 @@ def valence_bond_power(state: StateVector, i: int, j: int, S: int) -> StateVecto
     if i == j:
         raise ValueError(f"bond sites must be distinct, got {(i, j)}")
     _check_int("bond power", S, 1)
-    new_amps: dict[tuple[int, ...], Fraction] = {}
-    for k in range(S + 1):
-        coeff = math.comb(S, k) * (-1 if k % 2 else 1)
-        di, dj = S - 2 * k, 2 * k - S
-        for key, amp in state.amps.items():
-            new_key = list(key)
-            new_key[i] += di
-            new_key[j] += dj
-            new_key = tuple(new_key)
-            new_amps[new_key] = new_amps.get(new_key, Fraction(0)) + coeff * amp
-    _check_entries(len(new_amps))
-    spins = list(state.spins)
-    spins[i] += S
-    spins[j] += S
-    return StateVector(spins=tuple(spins), amps=new_amps, scale=state.scale)
+    terms = [(S - 2 * k, 2 * k - S, (-1) ** k * math.comb(S, k)) for k in range(S + 1)]
+    return _apply_pair(state, i, j, terms, S, state.scale)
 
 
 def build_block_vbs(S: int, L: int) -> StateVector:
@@ -200,13 +207,10 @@ def build_block_vbs(S: int, L: int) -> StateVector:
 
 
 def build_full_vbs(S: int, N: int) -> StateVector:
-    """Open-chain VBS state: N bulk spin-S sites, spin-S/2 ends, N+1 bonds."""
+    """Open-chain VBS state: N bulk spin-S sites, spin-S/2 ends, N+1 bonds (a block of N+2)."""
     _check_int("bulk spin", S, 1)
     _check_int("bulk site count N", N, 1)
-    state = vacuum(N + 2)
-    for site in range(N + 1):
-        state = valence_bond_power(state, site, site + 1, S)
-    return state
+    return build_block_vbs(S, N + 2)
 
 
 def _pair_terms(S: int, J: int, M: int):
@@ -261,25 +265,8 @@ def apply_psi_dagger(state: StateVector, J: int, M: int) -> StateVector:
     _check_int("edge-spin sector J", J, 0, S)
     _check_int("edge magnetization M", M, -J, J)
     prefactor_square, terms = _pair_terms(S, J, M)
-    last = state.nsites - 1
-    new_amps: dict[tuple[int, ...], Fraction] = {}
-    for tm1, tm2, rational in terms:
-        for key, amp in state.amps.items():
-            new_key = list(key)
-            new_key[0] += tm1
-            new_key[last] += tm2
-            new_key = tuple(new_key)
-            new_amps[new_key] = new_amps.get(new_key, Fraction(0)) + rational * amp
-    _check_entries(len(new_amps))
-    spins = list(state.spins)
-    spins[0] += S
-    spins[last] += S
-    return StateVector(
-        spins=tuple(spins),
-        amps=new_amps,
-        scale=state.scale * SignedSqrtRational(1, prefactor_square),
-        sector=(J, M),
-    )
+    scale = state.scale * SignedSqrtRational(1, prefactor_square)
+    return _apply_pair(state, 0, state.nsites - 1, terms, S, scale, sector=(J, M))
 
 
 def degenerate_states(S: int, L: int) -> dict[tuple[int, int], StateVector]:
@@ -298,20 +285,17 @@ def _check_block(state: StateVector, start: int, length: int) -> None:
     _check_int("block start", start, 0, state.nsites - length)
 
 
-def _block_factor(
-    state: StateVector, start: int, length: int, max_dim: int, what: str
-) -> np.ndarray:
-    """Normalized dense state as a (block, environment) matrix F; caps the block at max_dim.
+def _block_factor(state: StateVector, start: int, length: int) -> np.ndarray:
+    """Normalized dense state as a (block, environment) matrix F.
 
     Rows run site-major over the block (earliest block site fastest), columns
-    over the sites outside it, so the block density matrix is F F^T.
+    over the sites outside it, so the block density matrix is F F^T. The
+    caller checks the block and its cap.
     """
-    _check_block(state, start, length)
     dims = state.dims
     d_left = math.prod(dims[:start])
     d_block = math.prod(dims[start : start + length])
     d_right = math.prod(dims[start + length :])
-    require_dim(d_block, max_dim, what=what)
     psi = state.to_dense(normalized=True).reshape((d_left, d_block, d_right), order="F")
     return psi.transpose(1, 0, 2).reshape(d_block, d_left * d_right)
 
@@ -324,7 +308,9 @@ def reduced_density_matrix(
     The state is normalized first, so the result has unit trace. Row/column
     index is site-major over the block (earliest block site fastest).
     """
-    factor = _block_factor(state, start, length, max_dim, "density matrix")
+    _check_block(state, start, length)
+    require_dim(math.prod(state.dims[start : start + length]), max_dim, what="density matrix")
+    factor = _block_factor(state, start, length)
     return factor @ factor.T
 
 
@@ -341,14 +327,15 @@ def fock_block_spectrum(
     bulk sites start..start+L-1 and the rest. With F that (block x
     environment) factor, rho = F F^T, and :func:`~.dense.factor_spectrum`
     takes its eigenvalues from F; rho itself is never formed. ``max_dim``
-    caps the block dimension.
+    caps the block dimension (2S+1)^L before the chain is built.
     """
     _check_int("length", L, 1)
     if N is None:
         N = L
     _check_int(f"block start for length {L} in N={N}", start, 1, N - L + 1)
-    factor = _block_factor(build_full_vbs(S, N), start, L, max_dim, "density matrix")
-    return factor_spectrum(factor)
+    _check_int("bulk spin", S, 1)
+    require_dim((2 * S + 1) ** L, max_dim, what="density matrix")
+    return factor_spectrum(_block_factor(build_full_vbs(S, N), start, L))
 
 
 def correlator_reconstruction(

@@ -104,6 +104,31 @@ def _coefficients(weights: Sequence[float] | None, count: int, what: str) -> lis
     return weights
 
 
+def _chain_hamiltonian(S: int, spins: tuple[int, ...], C, D, max_dim: int, what: str) -> np.ndarray:
+    """Bond-projector sum over a chain of site twice-spins, capped at max_dim.
+
+    A neighbouring pair (a, b) carries the weighted projectors onto
+    twice-J = a+b-2S+2..a+b, the spins that S valence bonds cannot reach:
+    J = S+1..2S between spin-S sites (weights ``C``) and S/2+1..3S/2 where a
+    spin-S/2 end meets the bulk (weights ``D``). Bulk bonds are added first,
+    then the boundary bonds, so the float sum has one fixed order.
+    """
+    bulk_weights = _coefficients(C, S, "bulk projector")
+    boundary_weights = _coefficients(D, S, "boundary projector")
+    dims = tuple(ts + 1 for ts in spins)
+    dim = math.prod(dims)
+    require_dim(dim, max_dim, what=what)
+    pairs = {}
+    for a, b in dict.fromkeys(zip(spins, spins[1:])):
+        weights = bulk_weights if a == b else boundary_weights
+        two_js = range(a + b - 2 * S + 2, a + b + 1, 2)
+        pairs[a, b] = sum(w * pair_projector(a, b, tj) for w, tj in zip(weights, two_js))
+    ham = np.zeros((dim, dim))
+    for site in sorted(range(len(spins) - 1), key=lambda site: spins[site] != spins[site + 1]):
+        ham += embed_pair(pairs[spins[site], spins[site + 1]], dims, site)
+    return ham
+
+
 def block_hamiltonian(
     S: int, L: int, C: Sequence[float] | None = None, max_dim: int = DEFAULT_MAX_DIM
 ) -> np.ndarray:
@@ -115,18 +140,7 @@ def block_hamiltonian(
     """
     _check_int("bulk spin", S, 1)
     _check_int("length", L, 2)
-    weights = _coefficients(C, S, "bulk projector")
-    dims = (2 * S + 1,) * L
-    dim = math.prod(dims)
-    require_dim(dim, max_dim, what="block Hamiltonian")
-    pair = sum(
-        w * pair_projector(2 * S, 2 * S, 2 * J)
-        for w, J in zip(weights, range(S + 1, 2 * S + 1))
-    )
-    ham = np.zeros((dim, dim))
-    for site in range(L - 1):
-        ham += embed_pair(pair, dims, site)
-    return ham
+    return _chain_hamiltonian(S, (2 * S,) * L, C, None, max_dim, "block Hamiltonian")
 
 
 def unique_hamiltonian(
@@ -145,29 +159,8 @@ def unique_hamiltonian(
     """
     _check_int("bulk spin", S, 1)
     _check_int("bulk site count N", N, 1)
-    bulk_weights = _coefficients(C, S, "bulk projector")
-    boundary_weights = _coefficients(D, S, "boundary projector")
-    dims = (S + 1,) + (2 * S + 1,) * N + (S + 1,)
-    dim = math.prod(dims)
-    require_dim(dim, max_dim, what="open-chain Hamiltonian")
-    ham = np.zeros((dim, dim))
-    if N >= 2:
-        bulk_pair = sum(
-            w * pair_projector(2 * S, 2 * S, 2 * J)
-            for w, J in zip(bulk_weights, range(S + 1, 2 * S + 1))
-        )
-        for site in range(1, N):
-            ham += embed_pair(bulk_pair, dims, site)
-    boundary_tj = range(S + 2, 3 * S + 1, 2)
-    left = sum(
-        w * pair_projector(S, 2 * S, tj) for w, tj in zip(boundary_weights, boundary_tj)
-    )
-    right = sum(
-        w * pair_projector(2 * S, S, tj) for w, tj in zip(boundary_weights, boundary_tj)
-    )
-    ham += embed_pair(left, dims, 0)
-    ham += embed_pair(right, dims, N)
-    return ham
+    spins = (S,) + (2 * S,) * N + (S,)
+    return _chain_hamiltonian(S, spins, C, D, max_dim, "open-chain Hamiltonian")
 
 
 def null_space(mat: np.ndarray, max_dim: int = DEFAULT_MAX_DIM) -> np.ndarray:

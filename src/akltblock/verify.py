@@ -19,13 +19,12 @@ from functools import lru_cache
 import numpy as np
 
 from .angular import TOL
-from .oracle.dense import DEFAULT_MAX_DIM, MAX_STATE_ENTRIES, eigenspectrum, numerical_rank
+from .oracle.dense import DEFAULT_MAX_DIM, ResourceCapError, eigenspectrum, numerical_rank
 from .oracle.fock import (
     _block_factor,
     apply_spin_lowering,
     apply_spin_raising,
     apply_spin_z,
-    build_block_vbs,
     build_full_vbs,
     correlator_reconstruction,
     degenerate_states,
@@ -349,8 +348,7 @@ def ground_space_projector_gap(
     gaps = []
     for L in lengths:
         # No block cap beyond the state's own: the factor is never squared.
-        full = build_full_vbs(S, L)
-        factor_rho = _block_factor(full, 1, L, MAX_STATE_ENTRIES, "density matrix")
+        factor_rho = _block_factor(build_full_vbs(S, L), 1, L)
         columns = [state.to_dense() for state in degenerate_states(S, L).values()]
         factor_proj = np.stack(columns, axis=1) / (S + 1)
         r = np.linalg.qr(np.hstack([factor_rho, factor_proj]), mode="r")
@@ -399,11 +397,13 @@ def suite_hamiltonian(
     ground = _Check("hamiltonian", "block_ground_space")
     info = []
     for L in lengths:
-        if (2 * S + 1) ** L > max_dim:
+        try:
+            ham = block_hamiltonian(S, L, max_dim=max_dim)
+        except ResourceCapError:
             continue
-        ham = block_hamiltonian(S, L, max_dim=max_dim)
-        dim_null = null_space(ham, max_dim=max_dim).shape[1]
-        lowest = min(eigenspectrum(ham, max_dim=max_dim))
+        values = eigenspectrum(ham, max_dim=max_dim)
+        dim_null = sum(v < TOL.null_space for v in values)
+        lowest = min(values)
         residual = max(
             float(np.linalg.norm(ham @ state.to_dense()))
             for state in degenerate_states(S, L).values()
@@ -424,10 +424,10 @@ def suite_hamiltonian(
     info = []
     null_dims = {}
     for N in lengths:
-        dim = (S + 1) ** 2 * (2 * S + 1) ** N
-        if dim > max_dim:
+        try:
+            ham = unique_hamiltonian(S, N, max_dim=max_dim)
+        except ResourceCapError:
             continue
-        ham = unique_hamiltonian(S, N, max_dim=max_dim)
         basis = null_space(ham, max_dim=max_dim)
         null_dims[N] = basis.shape[1]
         vbs = build_full_vbs(S, N).to_dense()
@@ -449,7 +449,8 @@ def suite_hamiltonian(
     # Had the cap skipped lengths[0] above, this build raises ResourceCapError.
     doubled = unique_hamiltonian(S, N, C=[2.0] * S, D=[2.0] * S, max_dim=max_dim)
     rescale = _Check("hamiltonian", "coupling_rescale_invariance")
-    rescale.cell(null_space(doubled, max_dim=max_dim).shape[1] != null_dims[N], S=S, N=N)
+    doubled_null = sum(v < TOL.null_space for v in eigenspectrum(doubled, max_dim=max_dim))
+    rescale.cell(doubled_null != null_dims[N], S=S, N=N)
     checks.append(
         rescale.record(f"S={S}, N={N}: doubling all projector weights preserves the null space")
     )

@@ -303,3 +303,17 @@ def test_partial_trace_respects_max_dim():
         reduced_density_matrix(state, 1, 3, max_dim=10)
     with pytest.raises(ResourceCapError):
         fock_block_spectrum(1, 3, max_dim=10)
+
+
+def test_refused_fock_block_builds_no_chain(monkeypatch):
+    # The block cap (2S+1)^L is checked before the chain state is built, so
+    # a refused block costs nothing: 9^8 states at S = 4, L = 8.
+    from akltblock.oracle import fock
+
+    def build_full_vbs(S, N):
+        raise AssertionError("the chain state was built for a refused block")
+
+    monkeypatch.setattr(fock, "build_full_vbs", build_full_vbs)
+    with pytest.raises(ResourceCapError) as excinfo:
+        fock_block_spectrum(4, 8)
+    assert str(excinfo.value) == "density matrix dimension 43046721 exceeds the cap 4096"

@@ -7,6 +7,8 @@ full-chain Hamiltonian with boundary terms singles out the valence-bond
 state as its unique zero mode.
 """
 
+import math
+
 import numpy as np
 import pytest
 
@@ -171,6 +173,39 @@ def test_unique_hamiltonian_boundary_weights():
     assert abs(float(kernel[:, 0] @ vbs)) == pytest.approx(1.0, abs=1e-9)
     with pytest.raises(ValueError):
         unique_hamiltonian(1, 2, D=[1.0, 1.0])
+
+
+# ---------------------------------------------------------------------------
+# the bond rule: both builders against the projector sum written out
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("S", [1, 2, 3])
+def test_builders_sum_the_bond_projectors(S):
+    # Bulk bonds carry J = S+1..2S with weights C, the two end bonds carry
+    # twice-J = S+2..3S with weights D; bulk bonds are summed first, then
+    # the left and the right end bond, so the floats agree bit for bit.
+    C = [1.0 + 0.5 * k for k in range(S)]
+    D = [0.3 + 0.7 * k for k in range(S)]
+    bulk = sum(c * pair_projector(2 * S, 2 * S, 2 * J) for c, J in zip(C, range(S + 1, 2 * S + 1)))
+    end_two_js = range(S + 2, 3 * S + 1, 2)
+    left = sum(d * pair_projector(S, 2 * S, tj) for d, tj in zip(D, end_two_js))
+    right = sum(d * pair_projector(2 * S, S, tj) for d, tj in zip(D, end_two_js))
+
+    L = 3
+    dims = (2 * S + 1,) * L
+    want = np.zeros((math.prod(dims),) * 2)
+    for site in range(L - 1):
+        want += embed_pair(bulk, dims, site)
+    assert np.array_equal(block_hamiltonian(S, L, C=C), want)
+
+    for N in (1, 2):
+        dims = (S + 1,) + (2 * S + 1,) * N + (S + 1,)
+        want = np.zeros((math.prod(dims),) * 2)
+        for site in range(1, N):
+            want += embed_pair(bulk, dims, site)
+        want += embed_pair(left, dims, 0)
+        want += embed_pair(right, dims, N)
+        assert np.array_equal(unique_hamiltonian(S, N, C=C, D=D), want), N
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from akltblock import verify
+from akltblock.oracle import ResourceCapError
 from akltblock.spectrum import BlockSpectrum, block_spectrum
 from akltblock.verify import (
     ground_space_projector_gap,
@@ -100,6 +101,42 @@ def test_oracle_suite_spin2():
 def test_hamiltonian_suite_passes():
     all_passed(suite_hamiltonian(spin=1, lengths=[2, 3]))
     all_passed(suite_hamiltonian(spin=2, lengths=[2]))
+
+
+def test_hamiltonian_suite_skips_lengths_past_the_cap():
+    # 3^8 block states and 2^2 3^8 chain states exceed the default cap, so
+    # L = N = 8 is left out; the rescale check reads the first length.
+    checks = suite_hamiltonian(spin=1, lengths=[2, 8])
+    all_passed(checks)
+    details = {c["name"]: c["detail"] for c in checks}
+    assert details["block_ground_space"].startswith("L=2: null dim 4,")
+    assert "L=8" not in details["block_ground_space"]
+    assert details["unique_ground_state"].startswith("N=2: null dim 1,")
+    assert "N=8" not in details["unique_ground_state"]
+    with pytest.raises(ResourceCapError, match="open-chain Hamiltonian dimension 26244"):
+        suite_hamiltonian(spin=1, lengths=[8, 2])
+
+
+def test_hamiltonian_suite_diagonalizes_each_matrix_once(monkeypatch):
+    built, diagonalized = [], []
+
+    def spy(name, calls, keep_result):
+        real = getattr(verify, name)
+
+        def wrapper(*args, **kwargs):
+            result = real(*args, **kwargs)
+            calls.append(result if keep_result else args[0])
+            return result
+
+        monkeypatch.setattr(verify, name, wrapper)
+
+    spy("block_hamiltonian", built, True)
+    spy("unique_hamiltonian", built, True)
+    spy("null_space", diagonalized, False)
+    spy("eigenspectrum", diagonalized, False)
+    all_passed(suite_hamiltonian(spin=1, lengths=[2, 3]))
+    assert len(built) == 5  # two block, two open-chain, one rescaled
+    assert sorted(map(id, diagonalized)) == sorted(map(id, built))
 
 
 def test_appendix_suite_passes():
