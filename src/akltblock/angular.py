@@ -8,9 +8,10 @@ with a rational ``square``; products and squares of such values are exact.
 Phases follow the Condon-Shortley convention (the stretched-state coefficient
 is +1 and lowering never introduces signs).
 
-Every layer imports this module, so it also owns the package's two argument
-policies: ``TOL``, the one table of float tolerances, and ``_check_int``,
-the one integer-range validator.
+Every layer imports this module, so it also owns the package's policies:
+``TOL``, the one table of float tolerances; ``_check_int``, the one
+integer-range validator; and the size cap, ``DEFAULT_MAX_DIM`` with the
+``ResourceCapError`` every layer raises past a cap.
 """
 
 from __future__ import annotations
@@ -22,6 +23,8 @@ from functools import lru_cache
 
 __all__ = [
     "TOL",
+    "DEFAULT_MAX_DIM",
+    "ResourceCapError",
     "factorial",
     "SignedSqrtRational",
     "three_j_zero",
@@ -48,6 +51,12 @@ class Tolerances:
 
 
 TOL = Tolerances()
+
+DEFAULT_MAX_DIM = 4096  # dense matrices
+
+
+class ResourceCapError(RuntimeError):
+    """A requested object exceeds the configured size caps."""
 
 
 def _check_int(what: str, value, low: int, high: int | None = None) -> None:
@@ -175,6 +184,36 @@ def three_j_zero(l1: int, l2: int, l3: int) -> SignedSqrtRational:
         factorial(g), factorial(g - l1) * factorial(g - l2) * factorial(g - l3)
     )
     return SignedSqrtRational(-1 if g % 2 else 1, under_root * rational * rational)
+
+
+def _three_j_zero_square(l1: int, l2: int, l3: int, n: int) -> int:
+    """(2n+1)! (l1 l2 l3; 0 0 0)^2 as an integer, from factorials only.
+
+    With l1+l2+l3 = 2g the value is
+
+        (2g-2l1)!(2g-2l2)!(2g-2l3)! * (2n+1)!/(2g+1)!
+            * [g!/((g-l1)!(g-l2)!(g-l3)!)]^2,
+
+    an integer whenever g <= n (the bracket is a multinomial coefficient);
+    ``ValueError`` for g > n. Off the triangle, at odd l1+l2+l3 or at a
+    negative order (which the triangle test excludes) the symbol is zero.
+    ``three_j_zero`` is the reference.
+    """
+    total = l1 + l2 + l3
+    if total % 2 or not abs(l1 - l2) <= l3 <= l1 + l2:
+        return 0
+    g = total // 2
+    if g > n:
+        raise ValueError(f"(2n+1)! (l1 l2 l3; 0 0 0)^2 needs (l1+l2+l3)/2 <= n, got {g} > {n}")
+    multinomial = factorial(g) // (factorial(g - l1) * factorial(g - l2) * factorial(g - l3))
+    return (
+        factorial(2 * g - 2 * l1)
+        * factorial(2 * g - 2 * l2)
+        * factorial(2 * g - 2 * l3)
+        * (factorial(2 * n + 1) // factorial(2 * g + 1))
+        * multinomial
+        * multinomial
+    )
 
 
 def _check_jm(tj: int, tm: int, name: str) -> None:

@@ -21,12 +21,10 @@ import sys
 from fractions import Fraction
 
 from . import __version__
+from ._checks import SUITES, _Check
+from .angular import DEFAULT_MAX_DIM, ResourceCapError
 from .entropy import renyi
-from .oracle.dense import DEFAULT_MAX_DIM, ResourceCapError
-from .oracle.fock import fock_block_spectrum
-from .oracle.pauli import pauli_block_spectrum
 from .spectrum import EXACT_METHODS, block_spectrum, saturation_value
-from .verify import SUITES, _Check, label_sectors, run_suite
 
 __all__ = ["run_spectrum", "run_entropy", "run_verify", "main"]
 
@@ -44,10 +42,16 @@ class UsageError(ValueError):
 
 
 def _oracle_values(args: argparse.Namespace, method: str, L: int) -> list[float]:
+    # The oracles and ``verify`` load numpy, so they are imported only where
+    # an oracle method or a suite runs; exact runs never load them.
     if method == "fock_oracle":
+        from .oracle.fock import fock_block_spectrum
+
         return fock_block_spectrum(args.spin, L, max_dim=args.max_dim)
     if args.spin != 1:
         raise UsageError("pauli_oracle supports bulk spin 1 only")
+    from .oracle.pauli import pauli_block_spectrum
+
     return pauli_block_spectrum(L, max_dim=args.max_dim)
 
 
@@ -77,6 +81,8 @@ def run_spectrum(args: argparse.Namespace) -> tuple[dict, int]:
             )
         for method in args.method:
             if method in ORACLE_METHODS:
+                from .verify import label_sectors
+
                 labelled, ok, detail = label_sectors(_oracle_values(args, method, L), args.spin, L)
                 for J, value, mult in labelled:
                     label = method if J is not None else method + "_null_modes"
@@ -132,6 +138,8 @@ def run_verify(args: argparse.Namespace) -> tuple[dict, int]:
         kwargs.setdefault("max_length", max(args.length))
     if kwargs.get("max_length", 2) < 2:
         raise UsageError(f"verify needs a max length of at least 2, got {kwargs['max_length']}")
+    from .verify import run_suite
+
     checks = run_suite(args.suite, **kwargs)
     passed = all(check["passed"] for check in checks)
     return _document(args, [], checks), EXIT_OK if passed else EXIT_VERIFY

@@ -4,13 +4,17 @@ Matrices are plain numpy arrays (real in every basis this package uses);
 dimension caps keep accidental exponential blow-ups from freezing a run.
 Oracle block spectra come from a (block x rest) factor of the density
 matrix through :func:`factor_spectrum`, never from the matrix itself.
+
+The cap policy, ``DEFAULT_MAX_DIM`` and ``ResourceCapError``, lives in
+:mod:`akltblock.angular` and is re-exported here; ``MAX_STATE_ENTRIES`` is
+the oracle's own.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..angular import TOL
+from ..angular import DEFAULT_MAX_DIM, TOL, ResourceCapError
 
 __all__ = [
     "DEFAULT_MAX_DIM",
@@ -23,12 +27,7 @@ __all__ = [
     "numerical_rank",
 ]
 
-DEFAULT_MAX_DIM = 4096  # dense matrices
 MAX_STATE_ENTRIES = 5_000_000  # dense state-vector entries
-
-
-class ResourceCapError(RuntimeError):
-    """A requested object exceeds the configured size caps."""
 
 
 def require_dim(dim: int, max_dim: int = DEFAULT_MAX_DIM, what: str = "matrix") -> None:

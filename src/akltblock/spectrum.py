@@ -10,7 +10,8 @@ tabulated once per S by independent Fraction builders:
 * ``eigenvalue_recurrence`` — c from the polynomials I_l of a three-term
   recurrence (``_recurrence_weights``);
 * ``eigenvalue_closed`` — c from a sum over squared 3j symbols, no I_l
-  (``_closed_weights``).
+  (``_closed_weights``, summed in integers over (2S+1)! from the
+  factorial-only ``angular._three_j_zero_square``).
 
 The routes meet only in one integer kernel. lambda(l,S) is the ratio
 a_l / C(2S+1,S) with a_l = (-1)^l C(2S+1,S-l), and ``_integer_table`` puts
@@ -33,7 +34,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .angular import _check_int, factorial, three_j_zero
+from .angular import _check_int, _three_j_zero_square, factorial
 
 __all__ = [
     "IPolynomial",
@@ -153,25 +154,39 @@ def _closed_weights(S: int) -> tuple[tuple[Fraction, ...], ...]:
     """Closed-route weights from squared 3j symbols only; row J, column l1.
 
     prefactor(J) (2l1+1) sum_{lL,l} (2lL+1) lambda(lL,S-J) (2l+1) lambda(l,J)^2
-    (l1 lL l; 0 0 0)^2.
+    (l1 lL l; 0 0 0)^2, summed in integers. With K = S-J,
+
+        (2lL+1) lambda(lL,K) = (2lL+1) (-1)^lL C(2K+1,K-lL) / C(2K+1,K),
+        (2l+1) lambda(l,J)^2 = (2l+1) C(2J+1,J-l)^2 / C(2J+1,J)^2,
+        (l1 lL l; 0 0 0)^2 = ``_three_j_zero_square``(l1, lL, l, S) / (2S+1)!,
+
+    so every entry of row J is one integer sum over one denominator, and l
+    runs over the triangle |l1-lL|..l1+lL (capped at J) in steps of 2 only.
     """
+
+    @lru_cache(maxsize=None)
+    def square(l1: int, lL: int, l: int) -> int:  # shared by every row J
+        return _three_j_zero_square(l1, lL, l, S)
+
     rows = []
     for J in range(S + 1):
-        prefactor = Fraction(
-            factorial(2 * J + 1) * factorial(S) ** 2,
-            factorial(S + J + 1) * factorial(S - J + 1) * factorial(J + 1) ** 2,
+        K = S - J
+        numerator = factorial(2 * J + 1) * factorial(S) ** 2
+        denominator = (
+            factorial(S + J + 1) * factorial(K + 1) * factorial(J + 1) ** 2
+            * math.comb(2 * K + 1, K) * math.comb(2 * J + 1, J) ** 2 * factorial(2 * S + 1)
         )
-        outer = [(2 * lL + 1) * lambda_coeff(lL, S - J) for lL in range(S - J + 1)]
-        inner = [(2 * l + 1) * lambda_coeff(l, J) ** 2 for l in range(J + 1)]
+        outer = [(-1) ** lL * (2 * lL + 1) * math.comb(2 * K + 1, K - lL) for lL in range(K + 1)]
+        inner = [(2 * l + 1) * math.comb(2 * J + 1, J - l) ** 2 for l in range(J + 1)]
         row = []
         for l1 in range(S + 1):
-            total = Fraction(0)
+            total = 0
             for lL, a in enumerate(outer):
-                for l, b in enumerate(inner):
-                    w = three_j_zero(l1, lL, l)
-                    if w.sign:
-                        total += a * b * w.square
-            row.append(prefactor * (2 * l1 + 1) * total)
+                total += a * sum(
+                    inner[l] * square(l1, lL, l)
+                    for l in range(abs(l1 - lL), min(l1 + lL, J) + 1, 2)
+                )
+            row.append(Fraction((2 * l1 + 1) * numerator * total, denominator))
         rows.append(tuple(row))
     return tuple(rows)
 

@@ -7,7 +7,9 @@ cell's deviation and tolerance: the first cell over its tolerance becomes
 the ``counterexample`` (its cell coordinates and values), which appears only
 on failure, and the running maximum ``worst`` feeds the detail text. The
 CLI builds its own agreement records with the same accumulator and
-serializes all of them verbatim; tests assert on ``passed``.
+serializes all of them verbatim; tests assert on ``passed``. The accumulator
+and the ``SUITES`` table live in ``akltblock._checks``, which the CLI reads
+without importing this module and its numpy oracle.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from ._checks import SUITES, _Check
 from .angular import TOL
 from .oracle.dense import DEFAULT_MAX_DIM, ResourceCapError, eigenspectrum, numerical_rank
 from .oracle.fock import (
@@ -67,44 +70,6 @@ __all__ = [
     "suite_hamiltonian",
     "suite_appendix",
 ]
-
-
-class _Check:
-    """One check record, fed one cell at a time.
-
-    ``cell(deviation, tol, **where)`` fails the cell when ``deviation > tol``;
-    the ``where`` of the first failing cell becomes the counterexample. A
-    numeric deviation (float or exact Fraction) also feeds ``worst``, the
-    running maximum. A pass/fail cell feeds ``not ok`` against the default
-    tolerance 0 and leaves ``worst`` alone. ``deviation`` and ``tol`` are
-    positional-only because cells may carry a ``deviation`` key of their own.
-    """
-
-    def __init__(self, suite: str, name: str) -> None:
-        self.suite = suite
-        self.name = name
-        self.worst = 0.0
-        self.counterexample: dict | None = None
-
-    @property
-    def passed(self) -> bool:
-        return self.counterexample is None
-
-    def cell(self, deviation, tol=0, /, **where) -> bool:
-        """Feed one cell; returns whether it is within its tolerance."""
-        if not isinstance(deviation, bool):
-            self.worst = max(self.worst, deviation)
-        failed = deviation > tol
-        if failed and self.counterexample is None:
-            self.counterexample = where
-        return not failed
-
-    def record(self, detail: str) -> dict:
-        """The check record; a failing cell with no coordinates adds no counterexample."""
-        record = {"suite": self.suite, "name": self.name, "passed": self.passed, "detail": detail}
-        if self.counterexample:
-            record["counterexample"] = self.counterexample
-        return record
 
 
 def match_spectrum(
@@ -551,20 +516,6 @@ def suite_flat_limit(max_spin: int = 5, max_length: int = 40) -> list[dict]:
             f"S<={max_spin}, L<={max_length} (exact rational comparison)"
         )
     ]
-
-
-# Suite name -> (suite function name, options it takes), run in order. The
-# functions are looked up by name at call time and their defaults live only
-# in their signatures; ``all`` runs every suite with the same options.
-SUITES = {
-    "conjecture1": (
-        ("suite_conjecture1", ("max_spin", "max_length")),
-        ("suite_flat_limit", ("max_spin",)),
-    ),
-    "oracle": (("suite_oracle", ("spin", "max_length", "max_dim")),),
-    "hamiltonian": (("suite_hamiltonian", ("spin", "lengths", "max_dim")),),
-    "appendix": (("suite_appendix", ("max_spin",)),),
-}
 
 
 def run_suite(name: str, **options) -> list[dict]:

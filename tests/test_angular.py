@@ -8,6 +8,7 @@ sector and the usual positive-leading-component phase convention.  Nothing
 in that construction shares code (or a closed formula) with the library.
 """
 
+import itertools
 import math
 from fractions import Fraction
 from functools import lru_cache
@@ -20,6 +21,7 @@ from hypothesis import strategies as st
 from akltblock.angular import (
     SignedSqrtRational,
     _sqrt_exact,
+    _three_j_zero_square,
     clebsch_gordan,
     factorial,
     three_j_zero,
@@ -149,6 +151,22 @@ def test_argument_validation():
 # ---------------------------------------------------------------------------
 # cross-route and symmetry identities (exact)
 # ---------------------------------------------------------------------------
+
+def test_integer_three_j_square_matches_three_j_zero():
+    # (2n+1)! (l1 l2 l3; 0 0 0)^2 from factorials only, zeros included. Past
+    # (l1+l2+l3)/2 = n the scaled square need not be an integer, and a
+    # nonzero one is refused; n = 15 reaches every triple of 0..10^3.
+    for n in (10, 15):
+        scale = factorial(2 * n + 1)
+        for l1, l2, l3 in itertools.product(range(11), repeat=3):
+            want = three_j_zero(l1, l2, l3).square * scale
+            if want and l1 + l2 + l3 > 2 * n:
+                with pytest.raises(ValueError, match="needs"):
+                    _three_j_zero_square(l1, l2, l3, n)
+                continue
+            got = _three_j_zero_square(l1, l2, l3, n)
+            assert type(got) is int and got == want, (l1, l2, l3, n)
+
 
 def test_three_j_zero_agrees_with_general_route():
     for l1 in range(9):

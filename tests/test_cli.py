@@ -436,12 +436,48 @@ def test_non_positive_max_dim_is_a_usage_error(capsys, argv, value):
     assert "argument --max-dim: dimension cap must be a positive integer" in err
 
 
-def test_failing_oracle_agreement_names_the_first_failure(capsys, monkeypatch):
-    from akltblock import cli
+_IMPORT_GUARD = """
+import contextlib, io, json, sys
+from akltblock.cli import main
+codes = []
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        codes.append(main(argv))
+loaded = [name for name in ("akltblock.oracle", "numpy") if name in sys.modules]
+print(json.dumps({"codes": codes, "loaded": loaded}))
+"""
 
-    values = cli.fock_block_spectrum(1, 2)
+
+def _fresh_interpreter_run(*runs):
+    """Exit codes of ``main`` over ``runs`` in a new interpreter, and which of
+    numpy and the oracle package it loaded."""
+    proc = subprocess.run(
+        [sys.executable, "-c", _IMPORT_GUARD, json.dumps(runs)], capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+def test_exact_commands_import_neither_numpy_nor_the_oracle():
+    exact = _fresh_interpreter_run(
+        ["--version"],
+        ["sweep", "--spin", "3", "--length", "2..4", "--method", "recurrence,closed_form"],
+        ["entropy", "--spin", "2", "--length", "2..5"],
+        ["spectrum", "--spin", "2", "--length", "3", "--method", "recurrence"],
+    )
+    assert exact == {"codes": [0, 0, 0, 0], "loaded": []}
+    oracle = _fresh_interpreter_run(
+        ["spectrum", "--spin", "1", "--length", "2", "--method", "fock_oracle"]
+    )
+    assert oracle == {"codes": [0], "loaded": ["akltblock.oracle", "numpy"]}
+
+
+def test_failing_oracle_agreement_names_the_first_failure(capsys, monkeypatch):
+    from akltblock.oracle import fock
+
+    values = fock.fock_block_spectrum(1, 2)
     shifted = [values[0] + 1e-6, *values[1:]]
-    monkeypatch.setattr(cli, "fock_block_spectrum", lambda S, L, max_dim: list(shifted))
+    monkeypatch.setattr(fock, "fock_block_spectrum", lambda S, L, max_dim: list(shifted))
     code, out, _ = run_cli(
         capsys, "spectrum", "--spin", "1", "--length", "2", "--method", "fock_oracle"
     )

@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import akltblock.spectrum as spectrum
+from akltblock.angular import factorial, three_j_zero
 from akltblock.oracle import fock_block_spectrum
 from akltblock.spectrum import (
     EXACT_METHODS,
@@ -182,6 +183,34 @@ def test_weight_tables_equal_for_every_length():
     # so equal tables make them agree at every L, not only at sampled lengths.
     for S in range(1, 13):
         assert _recurrence_weights(S) == _closed_weights(S)
+
+
+def _closed_weights_reference(S):
+    """The closed-route table as a Fraction triple sum over ``three_j_zero``."""
+    rows = []
+    for J in range(S + 1):
+        prefactor = Fraction(
+            factorial(2 * J + 1) * factorial(S) ** 2,
+            factorial(S + J + 1) * factorial(S - J + 1) * factorial(J + 1) ** 2,
+        )
+        outer = [(2 * lL + 1) * lambda_coeff(lL, S - J) for lL in range(S - J + 1)]
+        inner = [(2 * l + 1) * lambda_coeff(l, J) ** 2 for l in range(J + 1)]
+        row = []
+        for l1 in range(S + 1):
+            total = Fraction(0)
+            for lL, a in enumerate(outer):
+                for l, b in enumerate(inner):
+                    total += a * b * three_j_zero(l1, lL, l).square
+            row.append(prefactor * (2 * l1 + 1) * total)
+        rows.append(tuple(row))
+    return tuple(rows)
+
+
+def test_closed_weights_match_three_j_reference():
+    # Pins the integer closed route to the reference 3j symbols on its own,
+    # apart from the recurrence route.
+    for S in range(1, 11):
+        assert _closed_weights(S) == _closed_weights_reference(S), S
 
 
 def test_integer_kernel_matches_fraction_reference():
