@@ -38,7 +38,6 @@ from .fock import (
 )
 from .hamiltonians import (
     block_hamiltonian,
-    embed_pair,
     null_space,
     pair_projector,
     spin_matrices,
@@ -80,7 +79,6 @@ __all__ = [
     "linear_combine",
     "states_equal_exact",
     "pair_projector",
-    "embed_pair",
     "spin_matrices",
     "block_hamiltonian",
     "unique_hamiltonian",

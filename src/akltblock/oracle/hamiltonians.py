@@ -20,7 +20,6 @@ from .dense import DEFAULT_MAX_DIM, require_dim
 
 __all__ = [
     "pair_projector",
-    "embed_pair",
     "spin_matrices",
     "block_hamiltonian",
     "unique_hamiltonian",
@@ -56,25 +55,6 @@ def pair_projector(two_j1: int, two_j2: int, two_jbond: int) -> np.ndarray:
                 vec[(tm1 + two_j1) // 2 + d1 * ((tm2 + two_j2) // 2)] = float(coeff)
         proj += np.outer(vec, vec)
     return proj
-
-
-def embed_pair(pair_op: np.ndarray, dims: Sequence[int], site: int) -> np.ndarray:
-    """Embed a two-site operator acting on (site, site+1) into the full chain.
-
-    With site 0 as the fastest index, earlier sites form the inner Kronecker
-    factor, so the embedding is I_after (x) pair_op (x) I_before.
-    """
-    dims = tuple(dims)
-    _check_int(f"pair site in a chain of {len(dims)} sites", site, 0, len(dims) - 2)
-    d_pair = dims[site] * dims[site + 1]
-    if pair_op.shape != (d_pair, d_pair):
-        raise ValueError(
-            f"pair operator shape {pair_op.shape} does not match site dims "
-            f"{dims[site]}x{dims[site + 1]}"
-        )
-    d_before = math.prod(dims[:site])
-    d_after = math.prod(dims[site + 2 :])
-    return np.kron(np.eye(d_after), np.kron(pair_op, np.eye(d_before)))
 
 
 def spin_matrices(two_j: int) -> tuple[np.ndarray, np.ndarray]:
@@ -125,7 +105,13 @@ def _chain_hamiltonian(S: int, spins: tuple[int, ...], C, D, max_dim: int, what:
         pairs[a, b] = sum(w * pair_projector(a, b, tj) for w, tj in zip(weights, two_js))
     ham = np.zeros((dim, dim))
     for site in sorted(range(len(spins) - 1), key=lambda site: spins[site] != spins[site + 1]):
-        ham += embed_pair(pairs[spins[site], spins[site + 1]], dims, site)
+        # With site 0 fastest, the bond term is I_after (x) pair (x) I_before:
+        # add pair on the diagonal view over the untouched sites, in place.
+        d_before = math.prod(dims[:site])
+        d_after = math.prod(dims[site + 2 :])
+        view = ham.reshape((d_after, dims[site] * dims[site + 1], d_before) * 2)
+        diagonal = np.einsum("apbaqb->abpq", view)
+        diagonal += pairs[spins[site], spins[site + 1]]
     return ham
 
 
@@ -163,14 +149,51 @@ def unique_hamiltonian(
     return _chain_hamiltonian(S, spins, C, D, max_dim, "open-chain Hamiltonian")
 
 
+def _components(mat: np.ndarray) -> list[np.ndarray]:
+    """Index sets of the connected components of ``mat``'s nonzero pattern.
+
+    Each set is ascending and the sets are ordered by their smallest index.
+    Labels start as the indices; every round each index takes the smallest
+    label across its nonzero row and column entries, then labels jump to
+    their label's label until they stop moving. Labels only ever point to
+    a smaller index of the same component, so at the fixed point every
+    component carries its smallest index.
+    """
+    rows, cols = np.nonzero(mat)
+    labels = np.arange(mat.shape[0])
+    while True:
+        hooked = labels.copy()
+        np.minimum.at(hooked, rows, labels[cols])
+        np.minimum.at(hooked, cols, labels[rows])
+        while not np.array_equal(hooked, jumped := hooked[hooked]):
+            hooked = jumped
+        if np.array_equal(hooked, labels):
+            break
+        labels = hooked
+    order = np.argsort(labels, kind="stable")
+    return np.split(order, np.flatnonzero(np.diff(labels[order])) + 1)
+
+
 def null_space(mat: np.ndarray, max_dim: int = DEFAULT_MAX_DIM) -> np.ndarray:
     """Orthonormal basis (columns) of the numerical null space.
 
     Intended for positive semi-definite projector sums, whose spectral gap
     above zero is O(0.1); the cutoff ``TOL.null_space`` sits far inside that
-    gap.
+    gap. Entries outside the connected components of the exact nonzero
+    pattern are zero, so the matrix is block diagonal up to a permutation
+    (projector sums conserve total S^z) and each block is diagonalized on
+    its own; the columns come block by block, in the order of the blocks'
+    smallest indices.
     """
     mat = np.asarray(mat)
     require_dim(mat.shape[0], max_dim, what="null-space computation")
-    values, vectors = np.linalg.eigh(mat)
-    return vectors[:, values < TOL.null_space]
+    blocks = []
+    for idx in _components(mat):
+        values, vectors = np.linalg.eigh(mat[np.ix_(idx, idx)])
+        blocks.append((idx, vectors[:, values < TOL.null_space]))
+    basis = np.zeros((mat.shape[0], sum(v.shape[1] for _, v in blocks)), np.result_type(mat, 1.0))
+    col = 0
+    for idx, vectors in blocks:
+        basis[idx, col : col + vectors.shape[1]] = vectors
+        col += vectors.shape[1]
+    return basis

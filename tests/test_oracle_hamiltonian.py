@@ -8,6 +8,7 @@ state as its unique zero mode.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,12 +17,18 @@ from akltblock.oracle import (
     block_hamiltonian,
     build_full_vbs,
     degenerate_states,
-    embed_pair,
     null_space,
     pair_projector,
     spin_matrices,
     unique_hamiltonian,
 )
+from akltblock.oracle.hamiltonians import _components
+
+
+def embed_pair(pair_op: np.ndarray, dims, site: int) -> np.ndarray:
+    """Kron reference for a bond term on (site, site+1): I_after (x) pair_op (x) I_before."""
+    d_before, d_after = math.prod(dims[:site]), math.prod(dims[site + 2 :])
+    return np.kron(np.eye(d_after), np.kron(pair_op, np.eye(d_before)))
 
 
 def spin_vector(two_j: int) -> list[np.ndarray]:
@@ -217,3 +224,64 @@ def test_null_space_cutoff():
     kernel = null_space(mat)
     assert kernel.shape == (3, 2)
     assert np.max(np.abs(mat @ kernel)) < 1e-11
+
+
+def test_block_null_space_matches_dense_eigh_on_permuted_blocks():
+    # PSD blocks of rank below their size, plus a zero block, scattered by a
+    # random permutation: the kernel projector must equal the one from one
+    # dense eigh of the whole matrix.
+    rng = np.random.default_rng(7)
+    sizes, ranks = (1, 3, 4, 2, 5, 1), (0, 1, 3, 2, 2, 1)
+    n = sum(sizes)
+    mat = np.zeros((n, n))
+    start = 0
+    for size, rank in zip(sizes, ranks):
+        factor = rng.normal(size=(size, rank))
+        mat[start : start + size, start : start + size] = factor @ factor.T
+        start += size
+    perm = rng.permutation(n)
+    mat = mat[np.ix_(perm, perm)]
+    assert len(_components(mat)) == len(sizes)
+
+    values, vectors = np.linalg.eigh(mat)
+    dense = vectors[:, values < 1e-8]
+    kernel = null_space(mat)
+    assert kernel.shape == dense.shape == (n, sum(sizes) - sum(ranks))
+    assert np.max(np.abs(kernel.T @ kernel - np.eye(kernel.shape[1]))) < 1e-12
+    assert np.max(np.abs(kernel @ kernel.T - dense @ dense.T)) < 1e-10
+
+
+def test_null_space_of_the_zero_matrix_is_everything():
+    kernel = null_space(np.zeros((6, 6)))
+    assert kernel.shape == (6, 6)
+    assert np.array_equal(kernel @ kernel.T, np.eye(6))
+
+
+def test_fully_coupled_matrix_forms_one_component():
+    # A path graph visited in shuffled order: every index is coupled to the
+    # rest, but only through a chain as long as the matrix.
+    n = 40
+    order = np.random.default_rng(3).permutation(n)
+    laplacian = np.zeros((n, n))
+    for a, b in zip(order, order[1:]):
+        laplacian[[a, b], [a, b]] += 1.0
+        laplacian[a, b] = laplacian[b, a] = -1.0
+    (component,) = _components(laplacian)
+    assert np.array_equal(component, np.arange(n))
+    kernel = null_space(laplacian)
+    assert kernel.shape == (n, 1)
+    assert np.max(np.abs(np.abs(kernel[:, 0]) - 1 / math.sqrt(n))) < 1e-10
+
+
+def test_hamiltonian_build_and_null_space_stay_near_one_matrix():
+    # S=2, N=3: 1125 states. Bonds are summed in place and the null space is
+    # taken block by block, so no full-size temporary is ever allocated.
+    matrix_bytes = 1125**2 * 8
+    tracemalloc.start()
+    try:
+        kernel = null_space(unique_hamiltonian(2, 3))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert kernel.shape == (1125, 1)
+    assert peak <= 1.25 * matrix_bytes
