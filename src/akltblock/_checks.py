@@ -1,9 +1,9 @@
 """The check-record accumulator and the suite table.
 
-Both :mod:`akltblock.verify` and the CLI read them. They live here, apart
-from ``verify`` (which imports the numpy oracle at load), so the CLI's exact
-commands build their agreement records and list the suites without loading
-numpy.
+:mod:`akltblock.exact_suites`, :mod:`akltblock.verify` and the CLI read
+them. They live here, apart from ``verify`` (which imports the numpy oracle
+at load), so the CLI's exact commands build their agreement records, list
+the suites and run the exact suites without loading numpy.
 """
 
 from __future__ import annotations
@@ -47,8 +47,9 @@ class _Check:
         return record
 
 
-# Suite name -> (suite function name, options it takes), run in order. The
-# functions are looked up by name in ``verify`` at call time and their
+# Suite name -> (suite function name, options it takes), run in order.
+# ``exact_suites.run_suite`` looks each function up by name at call time: in
+# ``exact_suites`` itself, else in ``verify`` (imported only then). Their
 # defaults live only in their signatures; ``all`` runs every suite with the
 # same options.
 SUITES = {

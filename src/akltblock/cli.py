@@ -24,6 +24,7 @@ from . import __version__
 from ._checks import SUITES, _Check
 from .angular import DEFAULT_MAX_DIM, ResourceCapError
 from .entropy import renyi
+from .exact_suites import run_suite
 from .spectrum import EXACT_METHODS, block_spectrum, saturation_value
 
 __all__ = ["run_spectrum", "run_entropy", "run_verify", "main"]
@@ -43,7 +44,7 @@ class UsageError(ValueError):
 
 def _oracle_values(args: argparse.Namespace, method: str, L: int) -> list[float]:
     # The oracles and ``verify`` load numpy, so they are imported only where
-    # an oracle method or a suite runs; exact runs never load them.
+    # an oracle method or an oracle suite runs; exact runs never load them.
     if method == "fock_oracle":
         from .oracle.fock import fock_block_spectrum
 
@@ -138,8 +139,6 @@ def run_verify(args: argparse.Namespace) -> tuple[dict, int]:
         kwargs.setdefault("max_length", max(args.length))
     if kwargs.get("max_length", 2) < 2:
         raise UsageError(f"verify needs a max length of at least 2, got {kwargs['max_length']}")
-    from .verify import run_suite
-
     checks = run_suite(args.suite, **kwargs)
     passed = all(check["passed"] for check in checks)
     return _document(args, [], checks), EXIT_OK if passed else EXIT_VERIFY

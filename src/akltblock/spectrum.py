@@ -7,8 +7,10 @@ multiplicity 2J+1. Both exact routes evaluate
 Lambda(J) = sum_l c(S,J,l) lambda(l,S)^(L-1) with L-independent weights c,
 tabulated once per S by independent Fraction builders:
 
-* ``eigenvalue_recurrence`` — c from the polynomials I_l of a three-term
-  recurrence (``_recurrence_weights``);
+* ``eigenvalue_recurrence`` — c from the values I_l(x(J)) of a three-term
+  recurrence, run pointwise at the S+1 points x(J) (``_recurrence_weights``;
+  ``i_polynomial`` builds the same I_l as polynomials, the tested
+  reference);
 * ``eigenvalue_closed`` — c from a sum over squared 3j symbols, no I_l
   (``_closed_weights``, summed in integers over (2S+1)! from the
   factorial-only ``angular._three_j_zero_square``).
@@ -139,13 +141,25 @@ def i_polynomial(l: int, S: int) -> IPolynomial:
 def _recurrence_weights(S: int) -> tuple[tuple[Fraction, ...], ...]:
     """Recurrence-route weights: row J holds (2l+1) I_l(x(J)) / (S+1)^2, l = 0..S.
 
-    x(J) = J(J+1)/2 - (S/2)(S/2+1).
+    x(J) = J(J+1)/2 - (S/2)(S/2+1). The recurrence of ``i_polynomial`` runs
+    on the values I_l(x(J)), not on polynomials: O(S) steps per row. With
+    y = 4x(J) an integer, I_k = N_k / D_k for D_k = prod_{j<k} (j+1)(S+j+2)^2
+    and integers N_0 = 1, N_1 = y,
+
+        N_{k+1} = (2k+1)(y + k(k+1)) N_k - k^2 (S-k+1)^2 (S+k+1)^2 N_{k-1}.
     """
     norm = (S + 1) ** 2
     rows = []
     for J in range(S + 1):
-        x = Fraction(J * (J + 1), 2) - Fraction(S * (S + 2), 4)
-        rows.append(tuple((2 * l + 1) * i_polynomial(l, S)(x) / norm for l in range(S + 1)))
+        y = 2 * J * (J + 1) - S * (S + 2)
+        prev, cur, den = 0, 1, norm
+        row = [Fraction(1, norm)]
+        for k in range(S):
+            back = (k * (S - k + 1) * (S + k + 1)) ** 2
+            prev, cur = cur, (2 * k + 1) * (y + k * (k + 1)) * cur - back * prev
+            den *= (k + 1) * (S + k + 2) ** 2
+            row.append(Fraction((2 * k + 3) * cur, den))
+        rows.append(tuple(row))
     return tuple(rows)
 
 

@@ -8,7 +8,10 @@ the ``counterexample`` (its cell coordinates and values), which appears only
 on failure, and the running maximum ``worst`` feeds the detail text. The
 CLI builds its own agreement records with the same accumulator and
 serializes all of them verbatim; tests assert on ``passed``. The accumulator
-and the ``SUITES`` table live in ``akltblock._checks``, which the CLI reads
+and the ``SUITES`` table live in ``akltblock._checks``; the exact suites
+``suite_conjecture1`` and ``suite_flat_limit`` and the ``run_suite``
+dispatcher live in ``akltblock.exact_suites``. This module re-exports those
+three and defines the oracle suites, so the CLI runs the exact suites
 without importing this module and its numpy oracle.
 """
 
@@ -22,6 +25,7 @@ import numpy as np
 
 from ._checks import SUITES, _Check
 from .angular import TOL
+from .exact_suites import run_suite, suite_conjecture1, suite_flat_limit
 from .oracle.dense import DEFAULT_MAX_DIM, ResourceCapError, eigenspectrum, numerical_rank
 from .oracle.fock import (
     _block_factor,
@@ -52,12 +56,7 @@ from .oracle.pauli import (
     pauli_density_matrix_spin1,
     pauli_ground_states_spin1,
 )
-from .spectrum import (
-    block_spectrum,
-    eigenvalue_recurrence,
-    flat_limit_bound,
-    lambda_coeff,
-)
+from .spectrum import eigenvalue_recurrence
 
 __all__ = [
     "SUITES",
@@ -132,35 +131,6 @@ def label_sectors(
 
 def _formula_entries(S: int, L: int) -> list[tuple[int, Fraction]]:
     return [(J, eigenvalue_recurrence(S, L, J)) for J in range(S + 1)]
-
-
-def suite_conjecture1(max_spin: int = 5, max_length: int = 30) -> list[dict]:
-    """Exact agreement of the two formula routes, plus the exact trace law.
-
-    One recurrence spectrum per (S, L) cell feeds both checks; from L = 2 it
-    is compared whole with the closed-form spectrum of the same cell.
-    """
-    checks = []
-    trace = _Check("conjecture1", "trace_law")
-    for S in range(1, max_spin + 1):
-        routes = _Check("conjecture1", f"recurrence_equals_closed_spin{S}")
-        for L in range(1, max_length + 1):
-            spec = block_spectrum(S, L)
-            total = spec.trace()
-            trace.cell(total != 1, S=S, L=L, trace=str(total))
-            if not routes.passed or L < 2:
-                continue
-            closed = block_spectrum(S, L, "closed_form")
-            for (J, rec, _), (_, other, _) in zip(spec.entries, closed.entries):
-                if not routes.cell(
-                    rec != other, S=S, L=L, J=J, recurrence=str(rec), closed_form=str(other)
-                ):
-                    break
-        checks.append(routes.record(f"exact equality over L=2..{max_length}, J=0..{S}"))
-    checks.append(
-        trace.record(f"sum_J (2J+1) Lambda(J) == 1 exactly, S<={max_spin}, L<={max_length}")
-    )
-    return checks
 
 
 def _spectra_close(a: Sequence[float], b: Sequence[float]) -> float:
@@ -492,40 +462,4 @@ def suite_appendix(max_spin: int = 2) -> list[dict]:
             "full chain is a singlet"
         )
     )
-    return checks
-
-
-def suite_flat_limit(max_spin: int = 5, max_length: int = 40) -> list[dict]:
-    """Exponential approach of Lambda(J) to the flat value 1/(S+1)^2."""
-    check = _Check("conjecture1", "flat_limit_bound")
-    cells = (
-        (S, L, J)
-        for S in range(1, max_spin + 1)
-        for L in range(2, max_length + 1)
-        for J in range(S + 1)
-    )
-    for S, L, J in cells:
-        bound = flat_limit_bound(S, J) * abs(lambda_coeff(1, S)) ** (L - 1)
-        deviation = abs(eigenvalue_recurrence(S, L, J) - Fraction(1, (S + 1) ** 2))
-        if not check.cell(
-            deviation, bound, S=S, L=L, J=J, deviation=str(deviation), bound=str(bound)
-        ):
-            break
-    return [
-        check.record(
-            f"|Lambda(J) - 1/(S+1)^2| <= K(S,J) |lambda(1,S)|^(L-1), "
-            f"S<={max_spin}, L<={max_length} (exact rational comparison)"
-        )
-    ]
-
-
-def run_suite(name: str, **options) -> list[dict]:
-    """Run one named suite, or all of them, passing each the options it takes."""
-    if name != "all" and name not in SUITES:
-        raise ValueError(f"unknown suite {name!r}; choose from {sorted(SUITES)} or 'all'")
-    checks = []
-    for suite in SUITES if name == "all" else (name,):
-        for function, accepted in SUITES[suite]:
-            kwargs = {key: options[key] for key in accepted if key in options}
-            checks.extend(globals()[function](**kwargs))
     return checks

@@ -464,12 +464,15 @@ def test_exact_commands_import_neither_numpy_nor_the_oracle():
         ["sweep", "--spin", "3", "--length", "2..4", "--method", "recurrence,closed_form"],
         ["entropy", "--spin", "2", "--length", "2..5"],
         ["spectrum", "--spin", "2", "--length", "3", "--method", "recurrence"],
+        ["verify", "conjecture1", "--max-spin", "2", "--max-length", "4"],
     )
-    assert exact == {"codes": [0, 0, 0, 0], "loaded": []}
+    assert exact == {"codes": [0, 0, 0, 0, 0], "loaded": []}
     oracle = _fresh_interpreter_run(
         ["spectrum", "--spin", "1", "--length", "2", "--method", "fock_oracle"]
     )
     assert oracle == {"codes": [0], "loaded": ["akltblock.oracle", "numpy"]}
+    oracle_suite = _fresh_interpreter_run(["verify", "appendix", "--max-spin", "1"])
+    assert oracle_suite == {"codes": [0], "loaded": ["akltblock.oracle", "numpy"]}
 
 
 def test_failing_oracle_agreement_names_the_first_failure(capsys, monkeypatch):

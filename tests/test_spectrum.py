@@ -1,6 +1,6 @@
 """Tests for the exact block-spectrum formulas.
 
-Both eigenvalue routes (recurrence in the weight polynomials I_l and the
+Both eigenvalue routes (recurrence in the weights I_l(x(J)) and the
 closed triple sum over squared 3j symbols) are pinned against hand-evaluated
 rationals, against each other, and against the spin-1 closed forms
 Lambda_0 = (1 + 3(-1/3)^L)/4, Lambda_1 = (1 - (-1/3)^L)/4.
@@ -183,6 +183,17 @@ def test_weight_tables_equal_for_every_length():
     # so equal tables make them agree at every L, not only at sampled lengths.
     for S in range(1, 13):
         assert _recurrence_weights(S) == _closed_weights(S)
+
+
+def test_pointwise_recurrence_weights_match_the_polynomials():
+    # _recurrence_weights runs the recurrence on values at each x(J); the
+    # polynomials I_l of i_polynomial are the reference it must reproduce.
+    for S in range(1, 13):
+        table = _recurrence_weights(S)
+        for J in range(S + 1):
+            x = Fraction(J * (J + 1), 2) - Fraction(S * (S + 2), 4)
+            for l in range(S + 1):
+                assert table[J][l] == (2 * l + 1) * i_polynomial(l, S)(x) / (S + 1) ** 2
 
 
 def _closed_weights_reference(S):

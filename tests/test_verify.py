@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from akltblock import verify
+from akltblock import exact_suites, verify
 from akltblock.oracle import ResourceCapError
 from akltblock.spectrum import BlockSpectrum, block_spectrum
 from akltblock.verify import (
@@ -251,13 +251,13 @@ def _perturbed(real, route, cells):
 
 
 def test_conjecture1_checks_report_first_counterexample(monkeypatch):
-    real = verify.block_spectrum
+    real = exact_suites.block_spectrum
     closed = _perturbed(
         real, "closed_form",
         {(2, 5): (1, Fraction(1, 10**9)), (2, 6): (0, 1), (3, 4): (3, Fraction(-1, 7))},
     )
     both = _perturbed(closed, "recurrence", {(1, 3): (0, 1), (1, 5): (1, 1), (2, 4): (0, 1)})
-    monkeypatch.setattr(verify, "block_spectrum", both)
+    monkeypatch.setattr(exact_suites, "block_spectrum", both)
     checks = suite_conjecture1(max_spin=3, max_length=6)
     assert list(_counterexample(checks, "recurrence_equals_closed_spin1").items()) == [
         ("S", 1), ("L", 3), ("J", 0), ("recurrence", "11/9"), ("closed_form", "2/9"),
@@ -275,10 +275,10 @@ def test_conjecture1_checks_report_first_counterexample(monkeypatch):
 
 
 def test_flat_limit_reports_first_counterexample(monkeypatch):
-    real = verify.eigenvalue_recurrence
+    real = exact_suites.eigenvalue_recurrence
     shifted = {(2, 7, 1), (2, 8, 0), (3, 3, 0)}
     monkeypatch.setattr(
-        verify,
+        exact_suites,
         "eigenvalue_recurrence",
         lambda S, L, J: real(S, L, J) + Fraction(1, 10) if (S, L, J) in shifted else real(S, L, J),
     )
