@@ -21,10 +21,9 @@ import sys
 from fractions import Fraction
 
 from . import __version__
-from ._checks import SUITES, _Check
 from .angular import DEFAULT_MAX_DIM, ResourceCapError
 from .entropy import renyi
-from .exact_suites import run_suite
+from .exact_suites import SUITES, _Check, run_suite
 from .spectrum import EXACT_METHODS, block_spectrum, saturation_value
 
 __all__ = ["run_spectrum", "run_entropy", "run_verify", "main"]

@@ -1,21 +1,74 @@
-"""The exact verification suites and the one suite dispatcher, without numpy.
+"""The numpy-free verification layer: check records, suites table, exact suites.
 
+``_Check`` builds every check record, the CLI's agreement records included.
 ``suite_conjecture1`` and ``suite_flat_limit`` compare the formula routes
 with each other and with their bounds in exact rationals; they need only
 ``spectrum``. ``run_suite`` runs any suite of the ``SUITES`` table: one
 defined here directly, any other (the oracle suites) from ``verify``, which
 is imported only then because it loads the numpy oracle. ``verify``
-re-exports all three names, so ``verify conjecture1`` runs without numpy.
+re-exports all of these, so ``verify conjecture1`` runs without numpy.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from ._checks import SUITES, _Check
 from .spectrum import block_spectrum, eigenvalue_recurrence, flat_limit_bound, lambda_coeff
 
-__all__ = ["run_suite", "suite_conjecture1", "suite_flat_limit"]
+__all__ = ["SUITES", "run_suite", "suite_conjecture1", "suite_flat_limit"]
+
+
+class _Check:
+    """One check record, fed one cell at a time.
+
+    ``cell(deviation, tol, **where)`` fails the cell when ``deviation > tol``;
+    the ``where`` of the first failing cell becomes the counterexample. A
+    numeric deviation (float or exact Fraction) also feeds ``worst``, the
+    running maximum. A pass/fail cell feeds ``not ok`` against the default
+    tolerance 0 and leaves ``worst`` alone. ``deviation`` and ``tol`` are
+    positional-only because cells may carry a ``deviation`` key of their own.
+    """
+
+    def __init__(self, suite: str, name: str) -> None:
+        self.suite = suite
+        self.name = name
+        self.worst = 0.0
+        self.counterexample: dict | None = None
+
+    @property
+    def passed(self) -> bool:
+        return self.counterexample is None
+
+    def cell(self, deviation, tol=0, /, **where) -> bool:
+        """Feed one cell; returns whether it is within its tolerance."""
+        if not isinstance(deviation, bool):
+            self.worst = max(self.worst, deviation)
+        failed = deviation > tol
+        if failed and self.counterexample is None:
+            self.counterexample = where
+        return not failed
+
+    def record(self, detail: str) -> dict:
+        """The check record; a failing cell with no coordinates adds no counterexample."""
+        record = {"suite": self.suite, "name": self.name, "passed": self.passed, "detail": detail}
+        if self.counterexample:
+            record["counterexample"] = self.counterexample
+        return record
+
+
+# Suite name -> (suite function name, options it takes), run in order.
+# ``run_suite`` looks each function up by name at call time: in this module,
+# else in ``verify`` (imported only then). Their defaults live only in their
+# signatures; ``all`` runs every suite with the same options.
+SUITES = {
+    "conjecture1": (
+        ("suite_conjecture1", ("max_spin", "max_length")),
+        ("suite_flat_limit", ("max_spin",)),
+    ),
+    "oracle": (("suite_oracle", ("spin", "max_length", "max_dim")),),
+    "hamiltonian": (("suite_hamiltonian", ("spin", "lengths", "max_dim")),),
+    "appendix": (("suite_appendix", ("max_spin",)),),
+}
 
 
 def suite_conjecture1(max_spin: int = 5, max_length: int = 30) -> list[dict]:

@@ -5,12 +5,12 @@ Schwinger modes; the occupation (n_a, n_b) = ((ts+tm)/2, (ts-tm)/2) is
 labelled by the twice-magnetization ``tm``. A basis monomial is therefore a
 tuple of per-site tm values, with the per-site twice-spins stored once on the
 state. Bond expansion and boundary-operator application stay exact: a
-:class:`StateVector` holds rational amplitudes times one global
-:class:`~akltblock.angular.SignedSqrtRational` scale (the coupling
-coefficients of a fixed (J, M) family share a single radical, so no sums of
-incompatible square roots ever arise). Converting to the orthonormal |s,m>
-product basis, which multiplies the coefficient of occupation (p, q) by
-sqrt(p! q!) per site, is the only exact-to-float boundary.
+:class:`StateVector` holds integer or rational amplitudes over one positive
+radical sqrt(scale_square) (a fixed (J, M) family shares a single radical,
+so no sums of incompatible square roots ever arise). Converting to the
+orthonormal |s,m> product basis, which multiplies the coefficient of
+occupation (p, q) by sqrt(p! q!) per site, is the only exact-to-float
+boundary: each dense entry is the root of one exact rational square.
 
 Basis ordering is site-major with magnetization ascending from -s:
 ``index = sum_j i_j * prod_{j'<j} (ts_{j'}+1)`` with ``i_j = (tm_j+ts_j)/2``
@@ -24,13 +24,12 @@ boundary sites genuinely carry half-integer spin S/2.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from ..angular import (
-    SignedSqrtRational,
     _check_int,
     _coupling_prefactor_square,
     _racah_sum,
@@ -75,22 +74,35 @@ def _occupation_weight(spins: tuple[int, ...], tms: tuple[int, ...]) -> int:
     )
 
 
+def _signed_root(amp: Fraction | int, square: Fraction | int) -> float:
+    """sqrt(square) with the sign of ``amp``; the exact square becomes a float once."""
+    try:
+        root = math.sqrt(square)
+    except OverflowError:
+        # factorial ratios can exceed float range even when the root does not
+        root = math.exp((math.log(square.numerator) - math.log(square.denominator)) / 2.0)
+    return root if amp >= 0 else -root
+
+
 @dataclass
 class StateVector:
     """Sparse exact state over the Schwinger occupation basis.
 
-    ``amps`` maps per-site twice-magnetization tuples to rational amplitudes;
-    the physical coefficient of a monomial is ``scale * amps[key]`` where
-    ``scale`` is one shared signed square root. ``sector`` optionally tags the
-    (J, M) edge quantum numbers once a boundary operator has been applied.
+    ``amps`` maps per-site twice-magnetization tuples to integer or rational
+    amplitudes; the physical coefficient of a monomial is
+    ``sqrt(scale_square) * amps[key]``, with ``scale_square`` one shared
+    positive rational. ``sector`` optionally tags the (J, M) edge quantum
+    numbers once a boundary operator has been applied.
     """
 
     spins: tuple[int, ...]
-    amps: dict[tuple[int, ...], Fraction]
-    scale: SignedSqrtRational = field(default_factory=SignedSqrtRational.one)
+    amps: dict[tuple[int, ...], Fraction | int]
+    scale_square: Fraction = Fraction(1)
     sector: tuple[int, int] | None = None
 
     def __post_init__(self) -> None:
+        if self.scale_square <= 0:
+            raise ValueError(f"scale_square must be positive, got {self.scale_square}")
         self.amps = {k: v for k, v in self.amps.items() if v != 0}
 
     @property
@@ -115,7 +127,7 @@ class StateVector:
         total = Fraction(0)
         for key, amp in self.amps.items():
             total += amp * amp * _occupation_weight(self.spins, key)
-        return total * self.scale.square
+        return total * self.scale_square
 
     def to_dense(self, normalized: bool = True) -> np.ndarray:
         """Dense orthonormal-basis vector (the exact-to-float boundary)."""
@@ -135,9 +147,7 @@ class StateVector:
             for ts, tm, stride in zip(self.spins, key, strides):
                 index += ((tm + ts) // 2) * stride
                 weight *= factorial((ts + tm) // 2) * factorial((ts - tm) // 2)
-            value = self.scale * SignedSqrtRational.from_rational(amp)
-            value = value * SignedSqrtRational(1, Fraction(weight))
-            out[index] = float(value)
+            out[index] = _signed_root(amp, amp * amp * weight * self.scale_square)
         if normalized:
             norm_sq = self.norm_square_exact()
             if norm_sq == 0:
@@ -149,24 +159,24 @@ class StateVector:
 def vacuum(nsites: int) -> StateVector:
     """Boson vacuum: every site has twice-spin 0 and amplitude 1."""
     _check_int("site count", nsites, 1)
-    return StateVector(spins=(0,) * nsites, amps={(0,) * nsites: Fraction(1)})
+    return StateVector(spins=(0,) * nsites, amps={(0,) * nsites: 1})
 
 
-def _apply_pair(state: StateVector, i: int, j: int, terms, bosons: int, scale, sector=None):
+def _apply_pair(state: StateVector, i: int, j: int, terms, bosons: int, scale_square, sector=None):
     """Add ``bosons`` bosons at sites i and j, exactly, with the given terms.
 
     Each term (dtm_i, dtm_j, coefficient) shifts the twice-magnetizations of
-    the two sites and multiplies the amplitude by the rational coefficient.
-    The amplitude map is capped at ``MAX_STATE_ENTRIES``.
+    the two sites and multiplies the amplitude by the integer or rational
+    coefficient. The amplitude map is capped at ``MAX_STATE_ENTRIES``.
     """
-    new_amps: dict[tuple[int, ...], Fraction] = {}
+    new_amps: dict[tuple[int, ...], Fraction | int] = {}
     for di, dj, coeff in terms:
         for key, amp in state.amps.items():
             new_key = list(key)
             new_key[i] += di
             new_key[j] += dj
             new_key = tuple(new_key)
-            new_amps[new_key] = new_amps.get(new_key, Fraction(0)) + coeff * amp
+            new_amps[new_key] = new_amps.get(new_key, 0) + coeff * amp
     if len(new_amps) > MAX_STATE_ENTRIES:
         raise ResourceCapError(
             f"amplitude map of {len(new_amps)} entries exceeds the cap {MAX_STATE_ENTRIES}"
@@ -174,7 +184,7 @@ def _apply_pair(state: StateVector, i: int, j: int, terms, bosons: int, scale, s
     spins = list(state.spins)
     spins[i] += bosons
     spins[j] += bosons
-    return StateVector(spins=tuple(spins), amps=new_amps, scale=scale, sector=sector)
+    return StateVector(tuple(spins), new_amps, scale_square, sector)
 
 
 def valence_bond_power(state: StateVector, i: int, j: int, S: int) -> StateVector:
@@ -190,7 +200,7 @@ def valence_bond_power(state: StateVector, i: int, j: int, S: int) -> StateVecto
         raise ValueError(f"bond sites must be distinct, got {(i, j)}")
     _check_int("bond power", S, 1)
     terms = [(S - 2 * k, 2 * k - S, (-1) ** k * math.comb(S, k)) for k in range(S + 1)]
-    return _apply_pair(state, i, j, terms, S, state.scale)
+    return _apply_pair(state, i, j, terms, S, state.scale_square)
 
 
 def build_block_vbs(S: int, L: int) -> StateVector:
@@ -243,7 +253,7 @@ def edge_pair_state(S: int, J: int, M: int) -> StateVector:
     return StateVector(
         spins=(S, S),
         amps=amps,
-        scale=SignedSqrtRational(1, prefactor_square),
+        scale_square=prefactor_square,
         sector=(J, M),
     )
 
@@ -255,7 +265,7 @@ def apply_psi_dagger(state: StateVector, J: int, M: int) -> StateVector:
     the output carries spin S everywhere and is tagged with ``sector``.
     Amplitudes remain rational because the coupling coefficient divided by
     the boson monomial norms is rational times one (J, M)-dependent radical,
-    which goes into the global scale.
+    whose square multiplies ``scale_square``.
     """
     S = state.spins[0]
     if state.nsites < 2 or state.spins[-1] != S or any(
@@ -265,8 +275,8 @@ def apply_psi_dagger(state: StateVector, J: int, M: int) -> StateVector:
     _check_int("edge-spin sector J", J, 0, S)
     _check_int("edge magnetization M", M, -J, J)
     prefactor_square, terms = _pair_terms(S, J, M)
-    scale = state.scale * SignedSqrtRational(1, prefactor_square)
-    return _apply_pair(state, 0, state.nsites - 1, terms, S, scale, sector=(J, M))
+    scale_square = state.scale_square * prefactor_square
+    return _apply_pair(state, 0, state.nsites - 1, terms, S, scale_square, sector=(J, M))
 
 
 def degenerate_states(S: int, L: int) -> dict[tuple[int, int], StateVector]:
@@ -373,11 +383,11 @@ def correlator_reconstruction(
         for a, amp_a in members:
             for b, amp_b in members:
                 sums[a, b] = sums.get((a, b), 0) + amp_a * amp_b * env_weight
-    scale = state.scale.square / state.norm_square_exact()
+    scale = state.scale_square / state.norm_square_exact()
     rho = np.zeros((d_block, d_block))
     for (a, b), total in sums.items():
-        root = SignedSqrtRational(1, Fraction(block_weight[a] * block_weight[b]))
-        rho[a, b] = float(SignedSqrtRational.from_rational(total * scale) * root)
+        value = total * scale
+        rho[a, b] = _signed_root(value, value * value * block_weight[a] * block_weight[b])
     return rho
 
 
@@ -409,7 +419,7 @@ def _apply_site_ladder(state: StateVector, raise_spin: bool) -> StateVector:
     On a monomial with occupation (p, q), a^+ b acts with integer coefficient
     q (and b^+ a with p), shifting the twice-magnetization by +-2.
     """
-    new_amps: dict[tuple[int, ...], Fraction] = {}
+    new_amps: dict[tuple[int, ...], Fraction | int] = {}
     for key, amp in state.amps.items():
         for site, (ts, tm) in enumerate(zip(state.spins, key)):
             coeff = (ts - tm) // 2 if raise_spin else (ts + tm) // 2
@@ -418,8 +428,8 @@ def _apply_site_ladder(state: StateVector, raise_spin: bool) -> StateVector:
             new_key = list(key)
             new_key[site] += 2 if raise_spin else -2
             new_key = tuple(new_key)
-            new_amps[new_key] = new_amps.get(new_key, Fraction(0)) + coeff * amp
-    return StateVector(spins=state.spins, amps=new_amps, scale=state.scale)
+            new_amps[new_key] = new_amps.get(new_key, 0) + coeff * amp
+    return StateVector(spins=state.spins, amps=new_amps, scale_square=state.scale_square)
 
 
 def apply_spin_raising(state: StateVector) -> StateVector:
@@ -437,7 +447,7 @@ def apply_spin_z(state: StateVector) -> StateVector:
     new_amps = {
         key: amp * Fraction(sum(key), 2) for key, amp in state.amps.items()
     }
-    return StateVector(spins=state.spins, amps=new_amps, scale=state.scale)
+    return StateVector(spins=state.spins, amps=new_amps, scale_square=state.scale_square)
 
 
 def linear_combine(
@@ -446,14 +456,14 @@ def linear_combine(
     """cu*u + cv*v exactly; the two scales must share a radical."""
     if u.spins != v.spins:
         raise ValueError("cannot combine states over different site spins")
-    ratio = _sqrt_exact(v.scale.square / u.scale.square)
+    ratio = _sqrt_exact(v.scale_square / u.scale_square)
     if ratio is None:
         raise ValueError("cannot combine states with incompatible scale radicals")
-    shift = Fraction(cv) * ratio * (v.scale.sign * u.scale.sign)
+    shift = Fraction(cv) * ratio
     amps = {key: Fraction(cu) * amp for key, amp in u.amps.items()}
     for key, amp in v.amps.items():
-        amps[key] = amps.get(key, Fraction(0)) + shift * amp
-    return StateVector(spins=u.spins, amps=amps, scale=u.scale)
+        amps[key] = amps.get(key, 0) + shift * amp
+    return StateVector(spins=u.spins, amps=amps, scale_square=u.scale_square)
 
 
 def states_equal_exact(u: StateVector, v: StateVector) -> bool:
@@ -507,10 +517,7 @@ def ladder_residual(lower: StateVector, upper: StateVector) -> float:
     if J2 != J or M2 != M + 1:
         raise ValueError(f"expected sectors (J,M) and (J,M+1), got {lower.sector} and {upper.sector}")
     raised = apply_spin_raising(lower)
-    factor = SignedSqrtRational(1, Fraction((J - M) * (J + M + 1)))
-    target = StateVector(
-        spins=upper.spins, amps=dict(upper.amps), scale=upper.scale * factor
-    )
+    target = StateVector(upper.spins, dict(upper.amps), upper.scale_square * (J - M) * (J + M + 1))
     diff = linear_combine(raised, target, 1, -1)
     scale_norm = math.sqrt(float(target.norm_square_exact()))
     return math.sqrt(float(diff.norm_square_exact())) / scale_norm

@@ -7,12 +7,12 @@ cell's deviation and tolerance: the first cell over its tolerance becomes
 the ``counterexample`` (its cell coordinates and values), which appears only
 on failure, and the running maximum ``worst`` feeds the detail text. The
 CLI builds its own agreement records with the same accumulator and
-serializes all of them verbatim; tests assert on ``passed``. The accumulator
-and the ``SUITES`` table live in ``akltblock._checks``; the exact suites
-``suite_conjecture1`` and ``suite_flat_limit`` and the ``run_suite``
-dispatcher live in ``akltblock.exact_suites``. This module re-exports those
-three and defines the oracle suites, so the CLI runs the exact suites
-without importing this module and its numpy oracle.
+serializes all of them verbatim; tests assert on ``passed``. The accumulator,
+the ``SUITES`` table, the exact suites ``suite_conjecture1`` and
+``suite_flat_limit`` and the ``run_suite`` dispatcher live in the numpy-free
+``akltblock.exact_suites``. This module re-exports them and defines the
+oracle suites, so the CLI runs the exact suites without importing this
+module and its numpy oracle.
 """
 
 from __future__ import annotations
@@ -23,9 +23,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from ._checks import SUITES, _Check
 from .angular import TOL
-from .exact_suites import run_suite, suite_conjecture1, suite_flat_limit
+from .exact_suites import SUITES, _Check, run_suite, suite_conjecture1, suite_flat_limit
 from .oracle.dense import DEFAULT_MAX_DIM, ResourceCapError, eigenspectrum, numerical_rank
 from .oracle.fock import (
     _block_factor,

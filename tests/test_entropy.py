@@ -87,6 +87,19 @@ def test_invalid_spectra_are_rejected():
     )
     with pytest.raises(InvalidSpectrumError):
         von_neumann(bad_trace)
+    # exact spectra: a negative eigenvalue under a trace of exactly 1, and a
+    # trace of 4/3 with every eigenvalue positive
+    exact_negative = BlockSpectrum(
+        S=1, L=2, entries=((0, Fraction(-1, 9), 1), (1, Fraction(10, 27), 3)), method="recurrence"
+    )
+    assert exact_negative.trace() == 1
+    with pytest.raises(InvalidSpectrumError, match="negative exact eigenvalue -1/9"):
+        von_neumann(exact_negative)
+    exact_trace = BlockSpectrum(
+        S=1, L=2, entries=((0, Fraction(1, 3), 1), (1, Fraction(1, 3), 3)), method="recurrence"
+    )
+    with pytest.raises(InvalidSpectrumError, match="exact spectrum has trace 4/3"):
+        renyi(exact_trace, 2.0)
     with pytest.raises(ValueError):
         renyi(block_spectrum(1, 2), 0.0)
     with pytest.raises(ValueError):

@@ -35,6 +35,8 @@ from akltblock.oracle import (
     vacuum,
     valence_bond_power,
 )
+from akltblock.angular import SignedSqrtRational
+from akltblock.oracle.dense import DEFAULT_MAX_DIM
 from akltblock.spectrum import degenerate_norm, eigenvalue_recurrence, vbs_norm
 from akltblock.verify import match_spectrum
 
@@ -260,7 +262,7 @@ def test_bond_operators_commute():
     a = valence_bond_power(valence_bond_power(vacuum(3), 0, 1, 1), 1, 2, 1)
     b = valence_bond_power(valence_bond_power(vacuum(3), 1, 2, 1), 0, 1, 1)
     assert states_equal_exact(a, b)
-    assert a.amps == b.amps and a.scale == b.scale
+    assert a.amps == b.amps and a.scale_square == b.scale_square
 
 
 # ---------------------------------------------------------------------------
@@ -285,6 +287,104 @@ def test_states_equal_exact_detects_sign():
     flipped = linear_combine(u, u, 0, -1)
     assert states_equal_exact(u, u)
     assert not states_equal_exact(u, flipped)
+
+
+# ---------------------------------------------------------------------------
+# the representation: integer bond products over one positive radical
+# ---------------------------------------------------------------------------
+
+def _oracle_states(max_spin):
+    """Full chains and every degenerate state for S <= max_spin within the dense cap."""
+    for S in range(1, max_spin + 1):
+        for L in range(2, 9):
+            if (S + 1) ** 2 * (2 * S + 1) ** L > DEFAULT_MAX_DIM:
+                break
+            yield build_full_vbs(S, L)
+            yield from degenerate_states(S, L).values()
+
+
+def _weight(spins, tms):
+    return math.prod(
+        math.factorial((ts + tm) // 2) * math.factorial((ts - tm) // 2)
+        for ts, tm in zip(spins, tms)
+    )
+
+
+def _index(spins, tms):
+    index, stride = 0, 1
+    for ts, tm in zip(spins, tms):
+        index += ((tm + ts) // 2) * stride
+        stride *= ts + 1
+    return index
+
+
+def _signed_root_reference(amp, square):
+    """The signed-radical composition: sign(amp) |amp| sqrt(square) as one float."""
+    return float(SignedSqrtRational.from_rational(amp) * SignedSqrtRational(1, square))
+
+
+def test_dense_entries_equal_the_signed_radical_composition():
+    # Each dense entry rounds the exact square amp^2 * weight * scale_square
+    # once, which is the float of the signed-radical product.
+    for state in _oracle_states(3):
+        want = np.zeros(state.dimension)
+        for key, amp in state.amps.items():
+            square = _weight(state.spins, key) * state.scale_square
+            want[_index(state.spins, key)] = _signed_root_reference(amp, square)
+        assert np.array_equal(state.to_dense(normalized=False), want)
+
+
+def test_correlator_entries_equal_the_signed_radical_composition():
+    for state in _oracle_states(3):
+        windows = [(start, start + n) for n in (1, 2) for start in range(state.nsites - n + 1)]
+        for start, stop in windows:
+            block_spins = state.spins[start:stop]
+            env_spins = state.spins[:start] + state.spins[stop:]
+            groups, weights = {}, {}
+            for key, amp in state.amps.items():
+                a = _index(block_spins, key[start:stop])
+                weights[a] = _weight(block_spins, key[start:stop])
+                groups.setdefault(key[:start] + key[stop:], []).append((a, amp))
+            sums = {}
+            for env, members in groups.items():
+                env_weight = _weight(env_spins, env)
+                for a, amp_a in members:
+                    for b, amp_b in members:
+                        sums[a, b] = sums.get((a, b), 0) + amp_a * amp_b * env_weight
+            scale = state.scale_square / state.norm_square_exact()
+            d_block = math.prod(state.dims[start:stop])
+            want = np.zeros((d_block, d_block))
+            for (a, b), total in sums.items():
+                want[a, b] = _signed_root_reference(total * scale, weights[a] * weights[b])
+            assert np.array_equal(correlator_reconstruction(state, start, stop - start), want)
+
+
+def test_bond_products_are_integers_over_a_positive_rational_radical():
+    for S, L in [(1, 4), (2, 3), (3, 2)]:
+        for state in (build_block_vbs(S, L), build_full_vbs(S, L)):
+            assert all(type(amp) is int for amp in state.amps.values())
+            assert state.scale_square == 1
+    for state in _oracle_states(3):
+        assert type(state.scale_square) is Fraction and state.scale_square > 0
+    for S in (1, 2, 3):
+        for J in range(S + 1):
+            scale_square = edge_pair_state(S, J, J).scale_square
+            assert type(scale_square) is Fraction and scale_square > 0
+
+
+@pytest.mark.parametrize("scale_square", [Fraction(0), Fraction(-1, 4), -1])
+def test_non_positive_scale_square_is_rejected(scale_square):
+    with pytest.raises(ValueError, match="scale_square must be positive"):
+        StateVector(spins=(1,), amps={(1,): 1}, scale_square=scale_square)
+
+
+def test_dense_entries_survive_squares_past_the_float_range():
+    # One monomial of 300 bosons: its weight 150!^2 overflows a float, its
+    # root does not.
+    state = StateVector(spins=(300,), amps={(0,): -1})
+    entry = state.to_dense(normalized=False)[150]
+    assert entry == _signed_root_reference(-1, Fraction(math.factorial(150) ** 2))
+    assert entry == pytest.approx(-float(math.factorial(150)), rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
