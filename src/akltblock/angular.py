@@ -43,8 +43,8 @@ class Tolerances:
 
     match: float = 1e-9  # oracle eigenvalue vs formula value, spectrum vs spectrum
     residual: float = 1e-9  # state norms, overlaps, eigen and quantum-number relations
-    zero: float = 1e-10  # numerically zero: leftovers, clamps, rank, route differences
-    roundoff: float = 1e-12  # trace, Hermiticity, imaginary residue, projector algebra
+    zero: float = 1e-10  # numerically zero: leftovers, rank, route differences
+    roundoff: float = 1e-12  # Hermiticity, imaginary residue, projector algebra
     channel: float = 1e-13  # Pauli depolarizing-sum identity
     null_space: float = 1e-8  # eigenvalue cutoff of a projector-sum null space
     projector_gap: float = 1e-4  # ||rho_L - P/(S+1)^2||_2 bound at L = 10
@@ -145,14 +145,18 @@ class SignedSqrtRational:
         return self.sign != 0
 
     def __float__(self) -> float:
-        if self.sign == 0:
-            return 0.0
-        try:
-            return self.sign * math.sqrt(self.square.numerator / self.square.denominator)
-        except OverflowError:
-            # factorial ratios can exceed float range even when the root does not
-            log_sq = math.log(self.square.numerator) - math.log(self.square.denominator)
-            return self.sign * math.exp(log_sq / 2.0)
+        return _signed_root(self.sign, self.square)
+
+
+def _signed_root(sign: Fraction | int, square: Fraction | int) -> float:
+    """sqrt(square) with the sign of ``sign``; the exact square becomes a float once."""
+    num, den = square.numerator, square.denominator
+    try:
+        root = math.sqrt(num / den)
+    except OverflowError:
+        # factorial ratios can exceed float range even when the root does not
+        root = math.exp((math.log(num) - math.log(den)) / 2.0)
+    return root if sign >= 0 else -root
 
 
 def _zero() -> SignedSqrtRational:

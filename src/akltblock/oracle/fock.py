@@ -33,6 +33,7 @@ from ..angular import (
     _check_int,
     _coupling_prefactor_square,
     _racah_sum,
+    _signed_root,
     _sqrt_exact,
     factorial,
 )
@@ -72,16 +73,6 @@ def _occupation_weight(spins: tuple[int, ...], tms: tuple[int, ...]) -> int:
     return math.prod(
         factorial((ts + tm) // 2) * factorial((ts - tm) // 2) for ts, tm in zip(spins, tms)
     )
-
-
-def _signed_root(amp: Fraction | int, square: Fraction | int) -> float:
-    """sqrt(square) with the sign of ``amp``; the exact square becomes a float once."""
-    try:
-        root = math.sqrt(square)
-    except OverflowError:
-        # factorial ratios can exceed float range even when the root does not
-        root = math.exp((math.log(square.numerator) - math.log(square.denominator)) / 2.0)
-    return root if amp >= 0 else -root
 
 
 @dataclass

@@ -5,7 +5,7 @@ The reduced density matrix of a contiguous length-L block cut out of the
 one value Lambda(J) per total edge-spin sector J = 0..S, each with
 multiplicity 2J+1. Both exact routes evaluate
 Lambda(J) = sum_l c(S,J,l) lambda(l,S)^(L-1) with L-independent weights c,
-tabulated once per S by independent Fraction builders:
+tabulated once per S by independent integer builders:
 
 * ``eigenvalue_recurrence`` — c from the values I_l(x(J)) of a three-term
   recurrence, run pointwise at the S+1 points x(J) (``_recurrence_weights``;
@@ -15,9 +15,10 @@ tabulated once per S by independent Fraction builders:
   (``_closed_weights``, summed in integers over (2S+1)! from the
   factorial-only ``angular._three_j_zero_square``).
 
-The routes meet only in one integer kernel. lambda(l,S) is the ratio
-a_l / C(2S+1,S) with a_l = (-1)^l C(2S+1,S-l), and ``_integer_table`` puts
-row J of a route's table over one denominator W_J as integers n_{J,l}, so
+The routes meet only in one integer kernel. Each builder returns row J of
+its table in lowest terms, as integers (n_{J,0..S}, W_J) over one
+denominator, and lambda(l,S) is the ratio a_l / C(2S+1,S) with
+a_l = (-1)^l C(2S+1,S-l), so
 
     Lambda(J) = sum_l n_{J,l} a_l^(L-1) / (W_J C(2S+1,S)^(L-1)):
 
@@ -137,38 +138,48 @@ def i_polynomial(l: int, S: int) -> IPolynomial:
     return IPolynomial(S, l, tuple(cur))
 
 
-@lru_cache(maxsize=None)
-def _recurrence_weights(S: int) -> tuple[tuple[Fraction, ...], ...]:
-    """Recurrence-route weights: row J holds (2l+1) I_l(x(J)) / (S+1)^2, l = 0..S.
+def _lowest_terms(numerators: list[int], denominator: int) -> tuple[tuple[int, ...], int]:
+    """The row numerators/denominator divided by their one common gcd."""
+    g = math.gcd(denominator, *numerators)
+    return tuple(n // g for n in numerators), denominator // g
 
-    x(J) = J(J+1)/2 - (S/2)(S/2+1). The recurrence of ``i_polynomial`` runs
-    on the values I_l(x(J)), not on polynomials: O(S) steps per row. With
+
+@lru_cache(maxsize=None)
+def _recurrence_weights(S: int) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """Recurrence-route weights: row J is (n_{J,0..S}, W_J) in lowest terms.
+
+    n_{J,l} / W_J = (2l+1) I_l(x(J)) / (S+1)^2 with x(J) = J(J+1)/2 -
+    (S/2)(S/2+1). The recurrence of ``i_polynomial`` runs on the values
+    I_l(x(J)), not on polynomials: O(S) steps per row. With
     y = 4x(J) an integer, I_k = N_k / D_k for D_k = prod_{j<k} (j+1)(S+j+2)^2
     and integers N_0 = 1, N_1 = y,
 
-        N_{k+1} = (2k+1)(y + k(k+1)) N_k - k^2 (S-k+1)^2 (S+k+1)^2 N_{k-1}.
+        N_{k+1} = (2k+1)(y + k(k+1)) N_k - k^2 (S-k+1)^2 (S+k+1)^2 N_{k-1},
+
+    and D_S is a common denominator of the row.
     """
     norm = (S + 1) ** 2
     rows = []
     for J in range(S + 1):
         y = 2 * J * (J + 1) - S * (S + 2)
         prev, cur, den = 0, 1, norm
-        row = [Fraction(1, norm)]
+        entries = [(1, norm)]
         for k in range(S):
             back = (k * (S - k + 1) * (S + k + 1)) ** 2
             prev, cur = cur, (2 * k + 1) * (y + k * (k + 1)) * cur - back * prev
             den *= (k + 1) * (S + k + 2) ** 2
-            row.append(Fraction((2 * k + 3) * cur, den))
-        rows.append(tuple(row))
+            entries.append(((2 * k + 3) * cur, den))
+        rows.append(_lowest_terms([n * (den // d) for n, d in entries], den))
     return tuple(rows)
 
 
 @lru_cache(maxsize=None)
-def _closed_weights(S: int) -> tuple[tuple[Fraction, ...], ...]:
-    """Closed-route weights from squared 3j symbols only; row J, column l1.
+def _closed_weights(S: int) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """Closed-route weights from squared 3j symbols only; row J is (n_{J,l1}, W_J).
 
-    prefactor(J) (2l1+1) sum_{lL,l} (2lL+1) lambda(lL,S-J) (2l+1) lambda(l,J)^2
-    (l1 lL l; 0 0 0)^2, summed in integers. With K = S-J,
+    In lowest terms, n_{J,l1} / W_J is prefactor(J) (2l1+1) times
+    sum_{lL,l} (2lL+1) lambda(lL,S-J) (2l+1) lambda(l,J)^2 (l1 lL l; 0 0 0)^2,
+    summed in integers. With K = S-J,
 
         (2lL+1) lambda(lL,K) = (2lL+1) (-1)^lL C(2K+1,K-lL) / C(2K+1,K),
         (2l+1) lambda(l,J)^2 = (2l+1) C(2J+1,J-l)^2 / C(2J+1,J)^2,
@@ -200,21 +211,8 @@ def _closed_weights(S: int) -> tuple[tuple[Fraction, ...], ...]:
                     inner[l] * square(l1, lL, l)
                     for l in range(abs(l1 - lL), min(l1 + lL, J) + 1, 2)
                 )
-            row.append(Fraction((2 * l1 + 1) * numerator * total, denominator))
-        rows.append(tuple(row))
-    return tuple(rows)
-
-
-@lru_cache(maxsize=None)
-def _integer_table(weights, S: int) -> tuple[tuple[tuple[int, ...], int], ...]:
-    """The table ``weights(S)`` as integers: row J is (n_{J,l} for l = 0..S, W_J).
-
-    W_J is the lcm of the row's denominators and n_{J,l} = W_J c(S,J,l).
-    """
-    rows = []
-    for row in weights(S):
-        common = math.lcm(*(w.denominator for w in row))
-        rows.append((tuple(w.numerator * (common // w.denominator) for w in row), common))
+            row.append((2 * l1 + 1) * numerator * total)
+        rows.append(_lowest_terms(row, denominator))
     return tuple(rows)
 
 
@@ -232,11 +230,11 @@ def _damping_powers(S: int, L: int) -> tuple[tuple[int, ...], int]:
 
 
 def _damped_eigenvalue(weights, S: int, L: int, J: int) -> Fraction:
-    """sum_l c(S,J,l) lambda(l,S)^(L-1) for c = ``weights(S)``[J].
+    """sum_l c(S,J,l) lambda(l,S)^(L-1) for c(S,J,l) = n_{J,l} / W_J of ``weights(S)``.
 
     One integer dot product and one gcd (in the Fraction constructor).
     """
-    numerators, common = _integer_table(weights, S)[J]
+    numerators, common = weights(S)[J]
     powers, scale = _damping_powers(S, L)
     return Fraction(sum(n * p for n, p in zip(numerators, powers)), common * scale)
 
@@ -310,39 +308,38 @@ def flat_limit_bound(S: int, J: int) -> Fraction:
     """
     _check_int("bulk spin", S, 1)
     _check_int("edge-spin sector J", J, 0, S)
-    return sum(abs(w) for w in _recurrence_weights(S)[J][1:])
+    numerators, common = _recurrence_weights(S)[J]
+    return Fraction(sum(abs(n) for n in numerators[1:]), common)
 
 
 @dataclass(frozen=True)
 class BlockSpectrum:
     """Eigenvalues of the block density matrix grouped by edge-spin sector.
 
-    ``entries`` holds (J, eigenvalue, multiplicity) with multiplicity 2J+1;
-    eigenvalues are Fractions for the exact methods and floats for oracle
-    methods. ``method`` names the route that produced the values.
+    ``entries`` holds (J, eigenvalue, multiplicity) with multiplicity 2J+1
+    and an exact Fraction eigenvalue; ``method`` names the exact route that
+    produced the values.
     """
 
     S: int
     L: int
-    entries: tuple[tuple[int, Fraction | float, int], ...]
+    entries: tuple[tuple[int, Fraction, int], ...]
     method: str
 
-    def trace(self):
+    def trace(self) -> Fraction:
         """Sum of all eigenvalues with multiplicity.
 
-        All-Fraction entries are summed over the lcm of their denominators,
-        one normalisation instead of a chain of Fraction additions.
+        The entries are summed over the lcm of their denominators, one
+        normalisation instead of a chain of Fraction additions.
         """
-        if all(isinstance(value, Fraction) for _, value, _ in self.entries):
-            common = math.lcm(*(value.denominator for _, value, _ in self.entries))
-            return Fraction(
-                sum(
-                    mult * value.numerator * (common // value.denominator)
-                    for _, value, mult in self.entries
-                ),
-                common,
-            )
-        return sum(mult * value for _, value, mult in self.entries)
+        common = math.lcm(*(value.denominator for _, value, _ in self.entries))
+        return Fraction(
+            sum(
+                mult * value.numerator * (common // value.denominator)
+                for _, value, mult in self.entries
+            ),
+            common,
+        )
 
 
 def block_spectrum(S: int, L: int, method: str = "recurrence") -> BlockSpectrum:

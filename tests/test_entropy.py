@@ -80,12 +80,12 @@ def test_invalid_spectra_are_rejected():
     bad_negative = BlockSpectrum(
         S=1, L=2, entries=((0, -1e-6, 1), (1, (1 + 1e-6) / 3.0, 3)), method="fock_oracle"
     )
-    with pytest.raises(InvalidSpectrumError):
+    with pytest.raises(InvalidSpectrumError, match="not an exact Fraction"):
         von_neumann(bad_negative)
     bad_trace = BlockSpectrum(
         S=1, L=2, entries=((0, 0.5, 1), (1, 0.5, 3)), method="fock_oracle"
     )
-    with pytest.raises(InvalidSpectrumError):
+    with pytest.raises(InvalidSpectrumError, match="not an exact Fraction"):
         von_neumann(bad_trace)
     # exact spectra: a negative eigenvalue under a trace of exactly 1, and a
     # trace of 4/3 with every eigenvalue positive
@@ -107,6 +107,15 @@ def test_invalid_spectra_are_rejected():
     for alpha in (math.inf, math.nan):
         with pytest.raises(ValueError, match="finite"):
             renyi(block_spectrum(1, 2), alpha)
+
+
+def test_float_spectrum_is_rejected_even_with_unit_trace():
+    # Entropies take exact spectra only; a float list of oracle values has no
+    # exact trace to check.
+    floats = BlockSpectrum(S=1, L=2, entries=((0, 0.25, 1), (1, 0.25, 3)), method="fock_oracle")
+    for entropy in (von_neumann, lambda spec: renyi(spec, 2.0)):
+        with pytest.raises(InvalidSpectrumError, match="0.25 is not an exact Fraction"):
+            entropy(floats)
 
 
 @pytest.mark.parametrize("S, L, alpha", [(1, 2, 1000.0), (3, 7, 500.0), (5, 10, 700.0), (40, 2, 200.0)])

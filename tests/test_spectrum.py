@@ -178,18 +178,60 @@ def test_routes_agree_exactly(S, L):
         assert eigenvalue_recurrence(S, L, J) == eigenvalue_closed(S, L, J)
 
 
+def _as_fractions(table):
+    """A weight table of integer rows (n_{J,0..S}, W_J) as Fraction rows n/W."""
+    return tuple(tuple(Fraction(n, common) for n in numerators) for numerators, common in table)
+
+
+# The L-independent identities below hold for every length L at once: each
+# route damps its weights by the same lambda(l,S)^(L-1).
+
+
 def test_weight_tables_equal_for_every_length():
-    # Both routes damp their L-independent weights by the same lambda(l,S)^(L-1),
-    # so equal tables make them agree at every L, not only at sampled lengths.
-    for S in range(1, 13):
+    # Equal tables make the two routes agree at every L, not only at sampled lengths.
+    for S in range(1, 25):
         assert _recurrence_weights(S) == _closed_weights(S)
+
+
+def test_weight_tables_obey_the_trace_law_for_every_length():
+    # sum_J (2J+1) c(S,J,l) = delta_{l,0} is the trace law sum_J (2J+1) Lambda(J) = 1
+    # at every L, term by term in lambda(l,S)^(L-1).
+    for S in range(1, 25):
+        for weights in (_recurrence_weights, _closed_weights):
+            for numerators, common in weights(S):  # rows in lowest terms
+                assert common > 0 and math.gcd(common, *numerators) == 1
+            table = _as_fractions(weights(S))
+            for l in range(S + 1):
+                assert sum((2 * J + 1) * table[J][l] for J in range(S + 1)) == (l == 0)
+
+
+def test_first_damping_order_dominates():
+    # |lambda(l,S)| <= |lambda(1,S)| for l >= 1, which flat_limit_bound relies on.
+    for S in range(1, 25):
+        powers, _ = _damping_powers(S, 2)
+        assert all(abs(a) <= abs(powers[1]) for a in powers[1:])
+
+
+def test_weight_builders_construct_no_fraction(monkeypatch):
+    built = []
+    real = spectrum.Fraction
+
+    def counted(*args):
+        built.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(spectrum, "Fraction", counted)
+    for S in (1, 4, 9):
+        for weights in (_recurrence_weights, _closed_weights):
+            weights.__wrapped__(S)
+    assert built == []
 
 
 def test_pointwise_recurrence_weights_match_the_polynomials():
     # _recurrence_weights runs the recurrence on values at each x(J); the
     # polynomials I_l of i_polynomial are the reference it must reproduce.
     for S in range(1, 13):
-        table = _recurrence_weights(S)
+        table = _as_fractions(_recurrence_weights(S))
         for J in range(S + 1):
             x = Fraction(J * (J + 1), 2) - Fraction(S * (S + 2), 4)
             for l in range(S + 1):
@@ -221,7 +263,7 @@ def test_closed_weights_match_three_j_reference():
     # Pins the integer closed route to the reference 3j symbols on its own,
     # apart from the recurrence route.
     for S in range(1, 11):
-        assert _closed_weights(S) == _closed_weights_reference(S), S
+        assert _as_fractions(_closed_weights(S)) == _closed_weights_reference(S), S
 
 
 def test_integer_kernel_matches_fraction_reference():
@@ -234,7 +276,7 @@ def test_integer_kernel_matches_fraction_reference():
             for method, weights in tables.items():
                 want = [
                     sum(w * lam ** (L - 1) for w, lam in zip(row, lambdas))
-                    for row in weights(S)
+                    for row in _as_fractions(weights(S))
                 ]
                 got = [value for _, value, _ in block_spectrum(S, L, method).entries]
                 assert got == want, (S, L, method)
@@ -284,13 +326,6 @@ def test_trace_equals_naive_sum():
     )
     assert skewed.trace() == _naive_trace(skewed) == Fraction(7, 60)
     assert isinstance(skewed.trace(), Fraction)
-    floats = BlockSpectrum(S=1, L=2, entries=((0, 0.25, 1), (1, 0.25, 3)), method="fock_oracle")
-    assert floats.trace() == _naive_trace(floats) == 1.0
-    assert isinstance(floats.trace(), float)
-    ints = BlockSpectrum(S=1, L=1, entries=((0, 0, 1), (1, 2, 3)), method="x")
-    assert ints.trace() == _naive_trace(ints) == 6
-    mixed = BlockSpectrum(S=1, L=1, entries=((0, 0, 1), (1, Fraction(1, 3), 3)), method="x")
-    assert mixed.trace() == _naive_trace(mixed) == 1
 
 
 @given(S=st.integers(1, 8), L=st.integers(1, 64))
