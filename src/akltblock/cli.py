@@ -22,7 +22,7 @@ from fractions import Fraction
 
 from . import __version__
 from .angular import DEFAULT_MAX_DIM, ResourceCapError
-from .entropy import renyi
+from .entropy import _entropy, _length_weights
 from .exact_suites import SUITES, _Check, run_suite
 from .spectrum import EXACT_METHODS, block_spectrum, saturation_value
 
@@ -112,9 +112,9 @@ def run_entropy(args: argparse.Namespace) -> tuple[dict, int]:
     results = []
     saturation = saturation_value(args.spin)
     for L in args.length:
-        spec = block_spectrum(args.spin, L)
+        weights = _length_weights(args.spin, L)
         for alpha in args.alpha:
-            value = renyi(spec, alpha)
+            value = _entropy(weights, alpha)
             results.append(
                 {
                     "S": args.spin,

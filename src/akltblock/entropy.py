@@ -4,9 +4,19 @@ von Neumann: -sum_J (2J+1) Lambda(J) ln Lambda(J), with 0 ln 0 := 0.
 Renyi:       (1/(1-alpha)) ln sum_J (2J+1) Lambda(J)^alpha for finite
              alpha > 0, alpha = 1 dispatching to the von Neumann value.
 
-Exact rational eigenvalues are converted to floats at the very last step
+Exact eigenvalues are converted to floats at the very last step
 (round-to-nearest, relative error below 2^-52 per entry); both entropies
-saturate at 2 ln(S+1) as the block grows.
+saturate at 2 ln(S+1) as the block grows. One float routine (``_entropy``)
+serves two exact sources, and each checks non-negativity and a trace of
+exactly 1 before any float is formed:
+
+* ``von_neumann`` / ``renyi`` take a ``BlockSpectrum`` of Fractions and
+  check it on every call;
+* ``_length_weights(S, L)``, the path of the ``entropy`` command, builds no
+  Fraction: Lambda(J) = N_J / (W_J C(2S+1,S)^(L-1)) with the unreduced
+  integer numerator N_J of the recurrence table, checked in integers. Int
+  true division is correctly rounded, so each float has the bits of the
+  reduced Fraction's float, without its gcd.
 """
 
 from __future__ import annotations
@@ -14,34 +24,26 @@ from __future__ import annotations
 import math
 import sys
 from fractions import Fraction
+from functools import lru_cache
 
-from .spectrum import BlockSpectrum
+from .angular import _check_int
+from .spectrum import BlockSpectrum, _damping_powers, _recurrence_weights
 
 __all__ = ["InvalidSpectrumError", "von_neumann", "renyi"]
+
+Weights = tuple[tuple[float, int], ...]
 
 
 class InvalidSpectrumError(ValueError):
     """The spectrum does not look like a density-matrix spectrum."""
 
 
-# The last spectrum _weights validated and its weights. BlockSpectrum is
-# frozen and this reference keeps its identity from being reused, so several
-# entropies of one spectrum (one per Renyi order) validate it once. It is
-# keyed by identity on purpose: an lru_cache keyed by the spectrum hashes
-# every Fraction, one modular inverse of each ~4000-bit denominator at
-# S = 11, L = 200, and ran `entropy --spin 11 --length 8..207` slower.
-_validated: tuple[BlockSpectrum | None, tuple[tuple[float, int], ...]] = (None, ())
-
-
-def _weights(spec: BlockSpectrum) -> tuple[tuple[float, int], ...]:
+def _weights(spec: BlockSpectrum) -> Weights:
     """Validate the spectrum and return (eigenvalue, multiplicity) floats.
 
     Every entry must be an exact Fraction and non-negative, and the entries
     must sum to exactly 1.
     """
-    global _validated
-    if _validated[0] is spec:
-        return _validated[1]
     weights: list[tuple[float, int]] = []
     for _, value, mult in spec.entries:
         if not isinstance(value, Fraction):
@@ -52,34 +54,72 @@ def _weights(spec: BlockSpectrum) -> tuple[tuple[float, int], ...]:
     trace = spec.trace()
     if trace != 1:
         raise InvalidSpectrumError(f"exact spectrum has trace {trace}, expected 1")
-    _validated = (spec, tuple(weights))
-    return _validated[1]
+    return tuple(weights)
+
+
+@lru_cache(maxsize=None)
+def _trace_multipliers(denominators: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
+    """((2J+1) M / W_J for every J, M) for row denominators W_J and M = lcm_J W_J."""
+    common = math.lcm(*denominators)
+    return tuple((2 * J + 1) * (common // w) for J, w in enumerate(denominators)), common
+
+
+def _length_weights(S: int, L: int) -> Weights:
+    """(Lambda(J), 2J+1) floats of the length-L block, checked in integers.
+
+    Lambda(J) = N_J / (W_J C(2S+1,S)^(L-1)) with N_J = sum_l n_{J,l}
+    a_l^(L-1) from the rows (n_{J,l}, W_J) of ``_recurrence_weights(S)``
+    and the powers of ``_damping_powers(S, L)``, left unreduced. Every N_J
+    must be non-negative and sum_J (2J+1) (M/W_J) N_J must equal
+    M C(2S+1,S)^(L-1), the trace exactly 1 over the one per-S denominator M.
+    """
+    _check_int("bulk spin", S, 1)
+    _check_int("length", L, 1)
+    rows = _recurrence_weights(S)
+    powers, scale = _damping_powers(S, L)
+    numerators = [sum(n * p for n, p in zip(row, powers)) for row, _ in rows]
+    for J, numerator in enumerate(numerators):
+        if numerator < 0:
+            raise InvalidSpectrumError(f"negative exact eigenvalue Lambda({J}) at S={S}, L={L}")
+    denominators = tuple(w for _, w in rows)
+    multipliers, common = _trace_multipliers(denominators)
+    if sum(m * n for m, n in zip(multipliers, numerators)) != common * scale:
+        raise InvalidSpectrumError(f"exact spectrum at S={S}, L={L} has trace other than 1")
+    return tuple(
+        (numerator / (w * scale), 2 * J + 1)
+        for J, (numerator, w) in enumerate(zip(numerators, denominators))
+    )
+
+
+def _entropy(weights: Weights, alpha: float) -> float:
+    """Renyi entropy of order alpha (von Neumann at alpha = 1) of checked weights."""
+    if alpha == 1:
+        total = 0.0
+        for value, mult in weights:
+            if value > 0.0:
+                total -= mult * value * math.log(value)
+        return total
+    positive = [(value, mult) for value, mult in weights if value > 0.0]
+    power_sum = 0.0
+    for value, mult in positive:
+        power_sum += mult * value**alpha
+    if power_sum >= sys.float_info.min:
+        return math.log(power_sum) / (1.0 - alpha)
+    # Every power underflows at large alpha: factor out the largest eigenvalue.
+    top = max(value for value, _ in positive)
+    scaled_sum = 0.0
+    for value, mult in positive:
+        scaled_sum += mult * (value / top) ** alpha
+    return (alpha * math.log(top) + math.log(scaled_sum)) / (1.0 - alpha)
 
 
 def von_neumann(spec: BlockSpectrum) -> float:
     """von Neumann entropy in nats."""
-    total = 0.0
-    for value, mult in _weights(spec):
-        if value > 0.0:
-            total -= mult * value * math.log(value)
-    return total
+    return _entropy(_weights(spec), 1.0)
 
 
 def renyi(spec: BlockSpectrum, alpha: float) -> float:
     """Renyi entropy of order alpha in nats (alpha = 1 gives von Neumann)."""
     if not (alpha > 0 and math.isfinite(alpha)):
         raise ValueError(f"Renyi order must be positive and finite, got {alpha!r}")
-    if alpha == 1:
-        return von_neumann(spec)
-    weights = [(value, mult) for value, mult in _weights(spec) if value > 0.0]
-    power_sum = 0.0
-    for value, mult in weights:
-        power_sum += mult * value**alpha
-    if power_sum >= sys.float_info.min:
-        return math.log(power_sum) / (1.0 - alpha)
-    # Every power underflows at large alpha: factor out the largest eigenvalue.
-    top = max(value for value, _ in weights)
-    scaled_sum = 0.0
-    for value, mult in weights:
-        scaled_sum += mult * (value / top) ** alpha
-    return (alpha * math.log(top) + math.log(scaled_sum)) / (1.0 - alpha)
+    return _entropy(_weights(spec), alpha)

@@ -23,7 +23,10 @@ a_l = (-1)^l C(2S+1,S-l), so
     Lambda(J) = sum_l n_{J,l} a_l^(L-1) / (W_J C(2S+1,S)^(L-1)):
 
 one integer dot product and one gcd per sector, with the powers shared by
-every J and both routes through ``_damping_powers``.
+every J and both routes through ``_damping_powers``. The ``entropy``
+command needs floats only: ``entropy._length_weights`` reads the recurrence
+rows and the same powers, checks sign and trace on the unreduced numerators
+in integers, and divides once per sector, with no gcd.
 
 Everything here is exact integer and rational arithmetic; no floats enter
 until entropy evaluation. Norm-squares of the underlying (unnormalized) VBS

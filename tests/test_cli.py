@@ -17,9 +17,10 @@ from fractions import Fraction
 
 import pytest
 
-from akltblock import verify
+from akltblock import cli, verify
 from akltblock.cli import main
-from akltblock.spectrum import BlockSpectrum, eigenvalue_recurrence
+from akltblock.entropy import renyi
+from akltblock.spectrum import BlockSpectrum, block_spectrum, eigenvalue_recurrence, saturation_value
 
 
 def run_cli(capsys, *argv):
@@ -223,19 +224,60 @@ def test_entropy_values_and_alpha_normalization(capsys):
 
 
 def test_entropy_validates_each_spectrum_once(capsys, monkeypatch):
-    traces = collections.Counter()
-    real_trace = BlockSpectrum.trace
+    # Each length is evaluated and checked once, from integer numerators,
+    # shared by every alpha; no BlockSpectrum is built on this path.
+    checked = collections.Counter()
+    real_weights = cli._length_weights
 
-    def trace(spec):
-        traces[spec.L] += 1
-        return real_trace(spec)
+    def length_weights(S, L):
+        checked[S, L] += 1
+        return real_weights(S, L)
 
-    monkeypatch.setattr(BlockSpectrum, "trace", trace)
+    def no_spectrum(*args, **kwargs):
+        raise AssertionError("entropy built a BlockSpectrum")
+
+    monkeypatch.setattr(cli, "_length_weights", length_weights)
+    monkeypatch.setattr(BlockSpectrum, "__init__", no_spectrum)
     code, _, _ = run_cli(
         capsys, "entropy", "--spin", "3", "--length", "2..5", "--alpha", "0.5,2,4"
     )
     assert code == 0
-    assert traces == {L: 1 for L in range(2, 6)}
+    assert checked == {(3, L): 1 for L in range(2, 6)}
+
+
+def _entropy_document_via_spectra(argv):
+    """The entropy document built from exact BlockSpectrum values and ``renyi``."""
+    args = cli.build_parser().parse_args(argv)
+    saturation = saturation_value(args.spin)
+    results = []
+    for L in args.length:
+        spec = block_spectrum(args.spin, L)
+        for alpha in args.alpha:
+            value = renyi(spec, alpha)
+            results.append(
+                {"S": args.spin, "L": L, "alpha": alpha, "value": value,
+                 "saturation_gap": saturation - value}
+            )
+    doc = cli._document(args, results, [])
+    if args.output_format == "json":
+        return cli._render_json(doc)
+    return cli._render_csv(doc, "entropy")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("--spin", "5", "--length", "2..301", "--alpha", "1.5,3.0,8.0"),
+        ("--spin", "11", "--length", "8..207", "--alpha", "0.5,2.0,4.0"),
+        ("--spin", "8", "--length", "2..251", "--alpha", "1.5,3.0,8.0", "--format", "csv"),
+        ("--spin", "1", "--length", "1..400", "--alpha", "0.5,2,1000", "--format", "csv"),
+        ("--spin", "12", "--length", "1..40", "--alpha", "0.25,6"),
+    ],
+)
+def test_entropy_documents_equal_the_spectrum_route(capsys, argv):
+    code, out, _ = run_cli(capsys, "entropy", *argv)
+    assert code == 0
+    assert out == _entropy_document_via_spectra(["entropy", *argv])
 
 
 def test_entropy_csv(capsys):

@@ -7,8 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from akltblock.entropy import InvalidSpectrumError, renyi, von_neumann
-from akltblock.spectrum import BlockSpectrum, block_spectrum, saturation_value
+from akltblock import entropy
+from akltblock.cli import main
+from akltblock.entropy import InvalidSpectrumError, _length_weights, renyi, von_neumann
+from akltblock.spectrum import BlockSpectrum, _recurrence_weights, block_spectrum, saturation_value
 
 
 def flat_spectrum(S: int) -> BlockSpectrum:
@@ -125,3 +127,56 @@ def test_renyi_large_order_matches_exact_power_sum(S, L, alpha):
     power_sum = sum(mult * value ** int(alpha) for _, value, mult in spec.entries)
     expected = (math.log(power_sum.numerator) - math.log(power_sum.denominator)) / (1 - alpha)
     assert renyi(spec, alpha) == pytest.approx(expected, rel=1e-14)
+
+
+def _rounded_spectrum(S, L):
+    return tuple((float(value), mult) for _, value, mult in block_spectrum(S, L).entries)
+
+
+@pytest.mark.parametrize("S", range(1, 13))
+def test_length_weights_are_the_exact_spectrum_rounded(S):
+    # int true division of the unreduced numerator rounds like float(Fraction)
+    for L in (1, 2, 3, 7, 50, 201):
+        assert _length_weights(S, L) == _rounded_spectrum(S, L), L
+
+
+@pytest.mark.parametrize("S, last", [(5, 307), (8, 257), (11, 207)])
+def test_length_weights_over_the_benchmark_entropy_windows(S, last):
+    # every length perfbench's entropy_scan can ask for at these spins
+    for L in range(2, last + 1):
+        assert _length_weights(S, L) == _rounded_spectrum(S, L), L
+
+
+def _patch_table(monkeypatch, table):
+    monkeypatch.setattr(entropy, "_recurrence_weights", lambda S: table)
+
+
+def test_trace_check_catches_one_bumped_numerator(monkeypatch, capsys):
+    rows = list(_recurrence_weights(3))
+    numerators, common = rows[1]
+    rows[1] = ((numerators[0] + 1, *numerators[1:]), common)
+    _patch_table(monkeypatch, tuple(rows))
+    for L in (1, 2, 9):
+        with pytest.raises(InvalidSpectrumError, match=f"S=3, L={L} has trace other than 1"):
+            _length_weights(3, L)
+    assert main(["entropy", "--spin", "3", "--length", "4"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "S=3, L=4 has trace other than 1" in captured.err
+
+
+def test_sign_check_catches_a_negative_eigenvalue(monkeypatch, capsys):
+    # S = 1, L = 3: Lambda(0) = -4/(4*9) = -1/9 and Lambda(1) = 40/(12*9) =
+    # 10/27, so the trace is exactly 1 and only the sign check can object.
+    _patch_table(monkeypatch, (((0, -4), 4), ((0, 40), 12)))
+    with pytest.raises(InvalidSpectrumError, match=r"negative exact eigenvalue Lambda\(0\) at S=1, L=3"):
+        _length_weights(1, 3)
+    assert main(["entropy", "--spin", "1", "--length", "3"]) == 2
+    assert "negative exact eigenvalue" in capsys.readouterr().err
+    # a whole real row negated
+    rows = list(_recurrence_weights(2))
+    numerators, common = rows[2]
+    rows[2] = (tuple(-n for n in numerators), common)
+    _patch_table(monkeypatch, tuple(rows))
+    with pytest.raises(InvalidSpectrumError, match=r"negative exact eigenvalue Lambda\(2\) at S=2, L=5"):
+        _length_weights(2, 5)
