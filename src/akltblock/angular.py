@@ -17,7 +17,7 @@ integer-range validator; and the size cap, ``DEFAULT_MAX_DIM`` with the
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 
@@ -33,21 +33,22 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
 class Tolerances:
-    """Float tolerances, one per meaning.
+    """Float tolerances, one per meaning, as read-only constants.
 
     The exact eigenvalues are rationals, so each entry is a policy: how far a
     float oracle may stray from an exact value and still agree with it.
     """
 
-    match: float = 1e-9  # oracle eigenvalue vs formula value, spectrum vs spectrum
-    residual: float = 1e-9  # state norms, overlaps, eigen and quantum-number relations
-    zero: float = 1e-10  # numerically zero: leftovers, rank, route differences
-    roundoff: float = 1e-12  # Hermiticity, imaginary residue, projector algebra
-    channel: float = 1e-13  # Pauli depolarizing-sum identity
-    null_space: float = 1e-8  # eigenvalue cutoff of a projector-sum null space
-    projector_gap: float = 1e-4  # ||rho_L - P/(S+1)^2||_2 bound at L = 10
+    __slots__ = ()
+
+    match = 1e-9  # oracle eigenvalue vs formula value, spectrum vs spectrum
+    residual = 1e-9  # state norms, overlaps, eigen and quantum-number relations
+    zero = 1e-10  # numerically zero: leftovers, rank, route differences
+    roundoff = 1e-12  # Hermiticity, imaginary residue, projector algebra
+    channel = 1e-13  # Pauli depolarizing-sum identity
+    null_space = 1e-8  # eigenvalue cutoff of a projector-sum null space
+    projector_gap = 1e-4  # ||rho_L - P/(S+1)^2||_2 bound at L = 10
 
 
 TOL = Tolerances()
@@ -94,8 +95,7 @@ def _sqrt_exact(q: Fraction) -> Fraction | None:
     return None
 
 
-@dataclass(frozen=True)
-class SignedSqrtRational:
+class SignedSqrtRational(namedtuple("SignedSqrtRational", "sign square")):
     """Exact value ``sign * sqrt(square)`` with ``square`` a rational >= 0.
 
     Closed under multiplication; squaring gives back a plain Fraction. It
@@ -104,18 +104,20 @@ class SignedSqrtRational:
     rational amplitudes.
     """
 
-    sign: int
-    square: Fraction
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.sign not in (-1, 0, 1):
-            raise ValueError(f"sign must be -1, 0 or +1, got {self.sign}")
-        square = Fraction(self.square)
+    def __new__(cls, sign: int, square: Fraction | int) -> "SignedSqrtRational":
+        if sign not in (-1, 0, 1):
+            raise ValueError(f"sign must be -1, 0 or +1, got {sign}")
+        square = Fraction(square)
         if square < 0:
             raise ValueError("square must be non-negative")
-        if (self.sign == 0) != (square == 0):
+        if (sign == 0) != (square == 0):
             raise ValueError("square == 0 exactly when sign == 0")
-        object.__setattr__(self, "square", square)
+        return super().__new__(cls, sign, square)
+
+    def __add__(self, other):
+        return NotImplemented  # not the inherited tuple concatenation
 
     @classmethod
     def zero(cls) -> "SignedSqrtRational":

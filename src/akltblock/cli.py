@@ -14,11 +14,8 @@ disagree), 2 usage error, 3 resource cap exceeded.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import math
 import sys
-from fractions import Fraction
 
 from . import __version__
 from .angular import DEFAULT_MAX_DIM, ResourceCapError
@@ -97,8 +94,11 @@ def run_spectrum(args: argparse.Namespace) -> tuple[dict, int]:
     return _document(args, results, checks), EXIT_OK if passed else EXIT_VERIFY
 
 
-def _exact_text(value: Fraction) -> str:
-    """Exact "p/q" at any size; the int-to-str digit limit is lifted for this call only."""
+def _exact_text(value) -> str:
+    """Exact "p/q" of a Fraction at any size.
+
+    The int-to-str digit limit is lifted for this call only.
+    """
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)
     try:
@@ -182,6 +182,9 @@ def _render_json(doc: dict) -> str:
 
 
 def _render_csv(doc: dict, command: str) -> str:
+    import csv
+    import io
+
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     if command == "entropy":

@@ -24,7 +24,6 @@ boundary sites genuinely carry half-integer spin S/2.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -75,7 +74,6 @@ def _occupation_weight(spins: tuple[int, ...], tms: tuple[int, ...]) -> int:
     )
 
 
-@dataclass
 class StateVector:
     """Sparse exact state over the Schwinger occupation basis.
 
@@ -86,15 +84,34 @@ class StateVector:
     numbers once a boundary operator has been applied.
     """
 
-    spins: tuple[int, ...]
-    amps: dict[tuple[int, ...], Fraction | int]
-    scale_square: Fraction = Fraction(1)
-    sector: tuple[int, int] | None = None
+    __slots__ = ("spins", "amps", "scale_square", "sector")
 
-    def __post_init__(self) -> None:
-        if self.scale_square <= 0:
-            raise ValueError(f"scale_square must be positive, got {self.scale_square}")
-        self.amps = {k: v for k, v in self.amps.items() if v != 0}
+    def __init__(
+        self,
+        spins: tuple[int, ...],
+        amps: dict[tuple[int, ...], Fraction | int],
+        scale_square: Fraction | int = Fraction(1),
+        sector: tuple[int, int] | None = None,
+    ) -> None:
+        if scale_square <= 0:
+            raise ValueError(f"scale_square must be positive, got {scale_square}")
+        self.spins = spins
+        self.amps = {k: v for k, v in amps.items() if v != 0}
+        self.scale_square = scale_square
+        self.sector = sector
+
+    def _key(self) -> tuple:
+        return (self.spins, self.amps, self.scale_square, self.sector)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __repr__(self) -> str:
+        return "StateVector(spins={!r}, amps={!r}, scale_square={!r}, sector={!r})".format(
+            *self._key()
+        )
 
     @property
     def nsites(self) -> int:
@@ -335,7 +352,7 @@ def fock_block_spectrum(
         N = L
     _check_int(f"block start for length {L} in N={N}", start, 1, N - L + 1)
     _check_int("bulk spin", S, 1)
-    require_dim((2 * S + 1) ** L, max_dim, what="density matrix")
+    require_dim((2 * S + 1) ** L, max_dim, what="Fock block")
     return factor_spectrum(_block_factor(build_full_vbs(S, N), start, L))
 
 

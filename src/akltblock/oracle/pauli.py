@@ -87,7 +87,7 @@ def _string_factor(L: int, max_dim: int) -> np.ndarray:
     spectral norm, a bound on every entry, comes from that 4-column R alone.
     """
     _check_int("length", L, 1)
-    require_dim(3**L, max_dim)
+    require_dim(3**L, max_dim, what="Pauli block")
     factor = _string_products(L).reshape(3**L, 4) / np.sqrt(2 * 3**L)
     r = np.linalg.qr(np.hstack([factor.real, factor.imag]), mode="r")
     r_real, r_imag = r[:, :4], r[:, 4:]

@@ -36,7 +36,7 @@ states are also exposed since the eigenvalues are rescaled norms.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 
@@ -93,8 +93,7 @@ def legendre_expansion_residual(S: int, t: float) -> float:
     return lhs - acc / (S + 1)
 
 
-@dataclass(frozen=True)
-class IPolynomial:
+class IPolynomial(namedtuple("IPolynomial", "S l coefficients")):
     """Weight polynomial I_l(x) of the recurrence route, exact coefficients.
 
     ``coefficients[k]`` is the coefficient of x^k; the degree equals l.
@@ -102,9 +101,7 @@ class IPolynomial:
     with a Fraction).
     """
 
-    S: int
-    l: int
-    coefficients: tuple[Fraction, ...]
+    __slots__ = ()
 
     def __call__(self, x: Fraction | float):
         acc: Fraction | float = 0
@@ -315,8 +312,7 @@ def flat_limit_bound(S: int, J: int) -> Fraction:
     return Fraction(sum(abs(n) for n in numerators[1:]), common)
 
 
-@dataclass(frozen=True)
-class BlockSpectrum:
+class BlockSpectrum(namedtuple("BlockSpectrum", "S L entries method")):
     """Eigenvalues of the block density matrix grouped by edge-spin sector.
 
     ``entries`` holds (J, eigenvalue, multiplicity) with multiplicity 2J+1
@@ -324,10 +320,7 @@ class BlockSpectrum:
     produced the values.
     """
 
-    S: int
-    L: int
-    entries: tuple[tuple[int, Fraction, int], ...]
-    method: str
+    __slots__ = ()
 
     def trace(self) -> Fraction:
         """Sum of all eigenvalues with multiplicity.

@@ -19,6 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from akltblock.angular import (
+    TOL,
     SignedSqrtRational,
     _sqrt_exact,
     _three_j_zero_square,
@@ -27,6 +28,7 @@ from akltblock.angular import (
     three_j_zero,
     wigner_3j,
 )
+from akltblock.spectrum import block_spectrum, i_polynomial
 
 
 # ---------------------------------------------------------------------------
@@ -265,3 +267,23 @@ def test_signed_sqrt_basics():
     # huge squares fall back to a log-domain conversion instead of overflowing
     big = SignedSqrtRational(1, Fraction(10) ** 400)
     assert math.isclose(float(big), 1e200, rel_tol=1e-10)
+
+
+def test_record_types_check_their_fields_and_are_immutable():
+    for sign, square in [(2, 1), (1, Fraction(-1, 4)), (0, 1), (1, 0)]:
+        with pytest.raises(ValueError):
+            SignedSqrtRational(sign, square)
+    root = SignedSqrtRational(1, 4)
+    assert root.square == Fraction(4) and type(root.square) is Fraction
+    assert root == SignedSqrtRational(sign=1, square=Fraction(4))
+    with pytest.raises(TypeError):
+        root + root
+    records = [
+        (TOL, "match"),
+        (block_spectrum(1, 2), "entries"),
+        (i_polynomial(1, 1), "coefficients"),
+        (root, "square"),
+    ]
+    for record, field in records:
+        with pytest.raises(AttributeError):
+            setattr(record, field, getattr(record, field))

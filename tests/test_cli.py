@@ -463,7 +463,7 @@ def test_refused_pauli_run_builds_no_string_products(capsys, monkeypatch):
         )
         assert code == 3
         assert out == ""
-        assert err == f"error: matrix dimension {message}\n"
+        assert err == f"error: Pauli block dimension {message}\n"
 
 
 @pytest.mark.parametrize("value", ["0", "-3"])
@@ -485,14 +485,15 @@ codes = []
 for argv in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(io.StringIO()):
         codes.append(main(argv))
-loaded = [name for name in ("akltblock.oracle", "numpy") if name in sys.modules]
+watched = ("akltblock.oracle", "numpy", "dataclasses", "inspect", "csv")
+loaded = [name for name in watched if name in sys.modules]
 print(json.dumps({"codes": codes, "loaded": loaded}))
 """
 
 
 def _fresh_interpreter_run(*runs):
     """Exit codes of ``main`` over ``runs`` in a new interpreter, and which of
-    numpy and the oracle package it loaded."""
+    the oracle package, numpy, dataclasses, inspect and csv it loaded."""
     proc = subprocess.run(
         [sys.executable, "-c", _IMPORT_GUARD, json.dumps(runs)], capture_output=True, text=True
     )
@@ -512,9 +513,10 @@ def test_exact_commands_import_neither_numpy_nor_the_oracle():
     oracle = _fresh_interpreter_run(
         ["spectrum", "--spin", "1", "--length", "2", "--method", "fock_oracle"]
     )
-    assert oracle == {"codes": [0], "loaded": ["akltblock.oracle", "numpy"]}
+    # numpy itself loads inspect, but not dataclasses
+    assert oracle == {"codes": [0], "loaded": ["akltblock.oracle", "numpy", "inspect"]}
     oracle_suite = _fresh_interpreter_run(["verify", "appendix", "--max-spin", "1"])
-    assert oracle_suite == {"codes": [0], "loaded": ["akltblock.oracle", "numpy"]}
+    assert oracle_suite == {"codes": [0], "loaded": ["akltblock.oracle", "numpy", "inspect"]}
 
 
 def test_failing_oracle_agreement_names_the_first_failure(capsys, monkeypatch):

@@ -88,3 +88,11 @@ def test_the_two_weight_tables_never_reach_each_other():
 
     assert "_closed_weights" not in reach("_recurrence_weights")
     assert "_recurrence_weights" not in reach("_closed_weights")
+
+
+def test_no_module_imports_dataclasses():
+    # dataclasses pulls in inspect, ast and dis at start-up; the record types
+    # are namedtuples and slotted classes instead.
+    for path in sorted(PACKAGE.rglob("*.py")):
+        names = _names(_imports(str(path.relative_to(PACKAGE))))
+        assert not _under(names, "dataclasses"), path

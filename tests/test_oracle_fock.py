@@ -378,6 +378,13 @@ def test_non_positive_scale_square_is_rejected(scale_square):
         StateVector(spins=(1,), amps={(1,): 1}, scale_square=scale_square)
 
 
+def test_states_drop_zero_amplitudes_and_compare_by_fields():
+    state = StateVector((1, 1), {(1, -1): 2, (-1, 1): 0}, Fraction(1, 2))
+    assert state.amps == {(1, -1): 2}
+    assert state == StateVector(spins=(1, 1), amps={(1, -1): 2}, scale_square=Fraction(1, 2))
+    assert state != StateVector((1, 1), {(1, -1): 2}, Fraction(1, 2), sector=(1, 0))
+
+
 def test_dense_entries_survive_squares_past_the_float_range():
     # One monomial of 300 bosons: its weight 150!^2 overflows a float, its
     # root does not.
@@ -416,4 +423,4 @@ def test_refused_fock_block_builds_no_chain(monkeypatch):
     monkeypatch.setattr(fock, "build_full_vbs", build_full_vbs)
     with pytest.raises(ResourceCapError) as excinfo:
         fock_block_spectrum(4, 8)
-    assert str(excinfo.value) == "density matrix dimension 43046721 exceeds the cap 4096"
+    assert str(excinfo.value) == "Fock block dimension 43046721 exceeds the cap 4096"
