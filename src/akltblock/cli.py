@@ -111,8 +111,7 @@ def run_entropy(args: argparse.Namespace) -> tuple[dict, int]:
     """Von Neumann plus Renyi entropies per block length, in nats."""
     results = []
     saturation = saturation_value(args.spin)
-    for L in args.length:
-        weights = _length_weights(args.spin, L)
+    for L, weights in zip(args.length, _length_weights(args.spin, args.length)):
         for alpha in args.alpha:
             value = _entropy(weights, alpha)
             results.append(
@@ -175,10 +174,36 @@ def _document(args: argparse.Namespace, results: list, checks: list) -> dict:
     }
 
 
+_SCALARS = {str, int, float, bool, type(None)}
+
+
 def _render_json(doc: dict) -> str:
+    """``json.dumps(doc, indent=2) + "\n"``, with lists of flat rows encoded in C.
+
+    With ``indent`` set, CPython 3.10-3.13 use the pure-Python encoder. A
+    list of non-empty dicts of scalars is encoded compactly instead, with NUL
+    as the item separator (ASCII output escapes NUL inside strings, and no
+    scalar ends in "}", so "}\0{" joins two rows), and then indented.
+    """
     import json
 
-    return json.dumps(doc, indent=2) + "\n"
+    if {type(key) for key in doc} != {str}:  # empty, or keys that json converts
+        return json.dumps(doc, indent=2) + "\n"
+    encode = json.JSONEncoder(separators=("\0", ": ")).encode
+    items = []
+    for key, value in doc.items():
+        if (
+            type(value) is list
+            and value
+            and all(type(row) is dict and row for row in value)
+            and {type(v) for row in value for v in row.values()} <= _SCALARS
+        ):
+            rows = encode(value)[2:-2].replace("}\0{", "\n    },\n    {\n      ")
+            text = "[\n    {\n      " + rows.replace("\0", ",\n      ") + "\n    }\n  ]"
+        else:
+            text = json.dumps(value, indent=2).replace("\n", "\n  ")
+        items.append(f"  {encode(key)}: {text}")
+    return "{\n" + ",\n".join(items) + "\n}\n"
 
 
 def _render_csv(doc: dict, command: str) -> str:

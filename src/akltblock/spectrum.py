@@ -24,9 +24,10 @@ a_l = (-1)^l C(2S+1,S-l), so
 
 one integer dot product and one gcd per sector, with the powers shared by
 every J and both routes through ``_damping_powers``. The ``entropy``
-command needs floats only: ``entropy._length_weights`` reads the recurrence
-rows and the same powers, checks sign and trace on the unreduced numerators
-in integers, and divides once per sector, with no gcd.
+command needs floats only: ``entropy._length_weights(S, lengths)`` reads
+the recurrence rows and steps the powers from one length to the next
+(``_damping_steps``), checks sign and trace on the unreduced numerators in
+integers, and divides once per sector, with no gcd.
 
 Everything here is exact integer and rational arithmetic; no floats enter
 until entropy evaluation. Norm-squares of the underlying (unnormalized) VBS
@@ -39,6 +40,7 @@ import math
 from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
+from operator import mul
 
 from .angular import _check_int, _three_j_zero_square, factorial
 
@@ -216,17 +218,32 @@ def _closed_weights(S: int) -> tuple[tuple[tuple[int, ...], int], ...]:
     return tuple(rows)
 
 
-@lru_cache(maxsize=8)
-def _damping_powers(S: int, L: int) -> tuple[tuple[int, ...], int]:
-    """(a_l^(L-1) for l = 0..S, C(2S+1,S)^(L-1)) with a_l = (-1)^l C(2S+1,S-l).
+def _damping_steps(S: int, lengths):
+    """Yield (a_l^(L-1) for l = 0..S, C(2S+1,S)^(L-1)) for each L of ``lengths``.
 
-    lambda(l,S) = a_l / C(2S+1,S); every sector and both routes at one (S, L)
-    share these powers. An entry grows linearly with L, so only the last few
-    lengths are kept.
+    a_l = (-1)^l C(2S+1,S-l), so lambda(l,S) = a_l / C(2S+1,S) and the scale
+    is the l = 0 power. Going up by dL multiplies every power by its base to
+    the dL; only the first length, and one below the length before it, take
+    the powers from scratch.
     """
     n = 2 * S + 1
-    powers = tuple(((-1) ** l * math.comb(n, S - l)) ** (L - 1) for l in range(S + 1))
-    return powers, math.comb(n, S) ** (L - 1)
+    bases = [(-1) ** l * math.comb(n, S - l) for l in range(S + 1)]
+    previous = math.inf  # the first length starts from scratch
+    for L in lengths:
+        _check_int("length", L, 1)
+        if L < previous:
+            powers = tuple(b ** (L - 1) for b in bases)
+        else:
+            powers = tuple(map(mul, powers, [b ** (L - previous) for b in bases]))
+        previous = L
+        yield powers, powers[0]
+
+
+@lru_cache(maxsize=8)
+def _damping_powers(S: int, L: int) -> tuple[tuple[int, ...], int]:
+    """``_damping_steps`` at one L, shared by every sector and both routes; an
+    entry grows linearly with L, so only the last few lengths are kept."""
+    return next(_damping_steps(S, (L,)))
 
 
 def _damped_eigenvalue(weights, S: int, L: int, J: int) -> Fraction:

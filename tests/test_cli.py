@@ -224,14 +224,18 @@ def test_entropy_values_and_alpha_normalization(capsys):
 
 
 def test_entropy_validates_each_spectrum_once(capsys, monkeypatch):
-    # Each length is evaluated and checked once, from integer numerators,
-    # shared by every alpha; no BlockSpectrum is built on this path.
+    # One stepped pass over the lengths: each length is evaluated and checked
+    # once, from integer numerators, shared by every alpha; no BlockSpectrum
+    # is built on this path.
+    passes = []
     checked = collections.Counter()
     real_weights = cli._length_weights
 
-    def length_weights(S, L):
-        checked[S, L] += 1
-        return real_weights(S, L)
+    def length_weights(S, lengths):
+        passes.append((S, tuple(lengths)))
+        for L, weights in zip(lengths, real_weights(S, lengths)):
+            checked[S, L] += 1
+            yield weights
 
     def no_spectrum(*args, **kwargs):
         raise AssertionError("entropy built a BlockSpectrum")
@@ -242,6 +246,7 @@ def test_entropy_validates_each_spectrum_once(capsys, monkeypatch):
         capsys, "entropy", "--spin", "3", "--length", "2..5", "--alpha", "0.5,2,4"
     )
     assert code == 0
+    assert passes == [(3, (2, 3, 4, 5))]
     assert checked == {(3, L): 1 for L in range(2, 6)}
 
 

@@ -135,16 +135,28 @@ def _rounded_spectrum(S, L):
 
 @pytest.mark.parametrize("S", range(1, 13))
 def test_length_weights_are_the_exact_spectrum_rounded(S):
-    # int true division of the unreduced numerator rounds like float(Fraction)
+    # int true division of the unreduced numerator rounds like float(Fraction),
+    # one length at a time and stepped across gaps, repeats and descents
+    for lengths in ((1, 2, 3, 7, 50, 201), (1, 2, 3, 7, 7, 50, 49, 201), (201, 3, 1)):
+        assert list(_length_weights(S, lengths)) == [_rounded_spectrum(S, L) for L in lengths]
     for L in (1, 2, 3, 7, 50, 201):
-        assert _length_weights(S, L) == _rounded_spectrum(S, L), L
+        assert list(_length_weights(S, (L,))) == [_rounded_spectrum(S, L)], L
 
 
 @pytest.mark.parametrize("S, last", [(5, 307), (8, 257), (11, 207)])
 def test_length_weights_over_the_benchmark_entropy_windows(S, last):
-    # every length perfbench's entropy_scan can ask for at these spins
-    for L in range(2, last + 1):
-        assert _length_weights(S, L) == _rounded_spectrum(S, L), L
+    # every length perfbench's entropy_scan can ask for at these spins, in
+    # one pass stepped across the whole window
+    lengths = range(2, last + 1)
+    for L, weights in zip(lengths, _length_weights(S, lengths), strict=True):
+        assert weights == _rounded_spectrum(S, L), L
+
+
+def test_length_weights_check_their_arguments():
+    for S, lengths in ((0, (2,)), (2, (3, 0)), (2, (2, 2.5))):
+        with pytest.raises(ValueError):
+            list(_length_weights(S, lengths))
+    assert list(_length_weights(2, ())) == []
 
 
 def _patch_table(monkeypatch, table):
@@ -158,7 +170,7 @@ def test_trace_check_catches_one_bumped_numerator(monkeypatch, capsys):
     _patch_table(monkeypatch, tuple(rows))
     for L in (1, 2, 9):
         with pytest.raises(InvalidSpectrumError, match=f"S=3, L={L} has trace other than 1"):
-            _length_weights(3, L)
+            list(_length_weights(3, (L,)))
     assert main(["entropy", "--spin", "3", "--length", "4"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -170,7 +182,7 @@ def test_sign_check_catches_a_negative_eigenvalue(monkeypatch, capsys):
     # 10/27, so the trace is exactly 1 and only the sign check can object.
     _patch_table(monkeypatch, (((0, -4), 4), ((0, 40), 12)))
     with pytest.raises(InvalidSpectrumError, match=r"negative exact eigenvalue Lambda\(0\) at S=1, L=3"):
-        _length_weights(1, 3)
+        list(_length_weights(1, (3,)))
     assert main(["entropy", "--spin", "1", "--length", "3"]) == 2
     assert "negative exact eigenvalue" in capsys.readouterr().err
     # a whole real row negated
@@ -179,4 +191,42 @@ def test_sign_check_catches_a_negative_eigenvalue(monkeypatch, capsys):
     rows[2] = (tuple(-n for n in numerators), common)
     _patch_table(monkeypatch, tuple(rows))
     with pytest.raises(InvalidSpectrumError, match=r"negative exact eigenvalue Lambda\(2\) at S=2, L=5"):
-        _length_weights(2, 5)
+        list(_length_weights(2, (5,)))
+
+
+# S = 2 has bases a_l = 10, -5, 1; the numerator vector (2, 3, -5) is
+# orthogonal to their powers at L = 1 and 2 (1, 1, 1 and 10, -5, 1) but not
+# at L = 3 (100, 25, 1), so a table shifted along it first goes wrong at the
+# third length of a run from L = 1, reached by stepping.
+_LATE = (2, 3, -5)
+
+
+def _shift_row(rows, J, factor):
+    numerators, common = rows[J]
+    rows[J] = (tuple(n + factor * d for n, d in zip(numerators, _LATE)), common)
+
+
+@pytest.mark.parametrize(
+    "shifts, message",
+    [
+        # row 0 alone: the trace is 1 at L = 1, 2 and off by 10 * 270 at L = 3
+        (((0, 1),), "exact spectrum at S=2, L=3 has trace other than 1"),
+        # row 0 down and row 2 up in trace-neutral amounts (multipliers 10 and
+        # 5): N_0 at L = 3 is 126 - 270 < 0 while the trace stays exactly 1
+        (((0, -1), (2, 2)), r"negative exact eigenvalue Lambda\(0\) at S=2, L=3"),
+    ],
+)
+def test_checks_fire_in_the_middle_of_a_stepped_run(monkeypatch, capsys, shifts, message):
+    rows = list(_recurrence_weights(2))
+    for J, factor in shifts:
+        _shift_row(rows, J, factor)
+    _patch_table(monkeypatch, tuple(rows))
+    weights = _length_weights(2, range(1, 6))
+    assert next(weights) == _rounded_spectrum(2, 1)
+    assert next(weights) == _rounded_spectrum(2, 2)
+    with pytest.raises(InvalidSpectrumError, match=message):
+        next(weights)
+    assert main(["entropy", "--spin", "2", "--length", "1..5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message.replace("\\", "") in captured.err

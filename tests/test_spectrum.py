@@ -21,6 +21,7 @@ from akltblock.spectrum import (
     BlockSpectrum,
     _closed_weights,
     _damping_powers,
+    _damping_steps,
     _recurrence_weights,
     block_spectrum,
     degenerate_norm,
@@ -68,6 +69,18 @@ def test_integer_damping_ratio_is_lambda():
             a = (-1) ** l * math.comb(2 * S + 1, S - l)
             assert powers[l] == a
             assert Fraction(a, scale) == lambda_coeff(l, S)
+
+
+@given(S=st.integers(1, 12), lengths=st.lists(st.integers(1, 60), max_size=8))
+@settings(deadline=None, max_examples=60)
+def test_stepped_damping_powers_equal_fresh_powers(S, lengths):
+    # up, down, repeated and gapped lengths all give lambda(l,S)^(L-1) exactly
+    stepped = list(_damping_steps(S, lengths))
+    assert len(stepped) == len(lengths)
+    for L, (powers, scale) in zip(lengths, stepped):
+        assert scale == math.comb(2 * S + 1, S) ** (L - 1)
+        for l, power in enumerate(powers):
+            assert Fraction(power, scale) == lambda_coeff(l, S) ** (L - 1)
 
 
 def test_lambda_out_of_range():
