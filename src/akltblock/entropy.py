@@ -13,10 +13,10 @@ exactly 1 before any float is formed:
 * ``von_neumann`` / ``renyi`` take a ``BlockSpectrum`` of Fractions and
   check it on every call;
 * ``_length_weights(S, lengths)``, the path of the ``entropy`` command,
-  builds no Fraction: one pass over the lengths gives Lambda(J) = N_J /
-  (W_J C(2S+1,S)^(L-1)) with the unreduced integer numerator N_J of the
-  recurrence table, checked in integers at every L. Int
-  true division is correctly rounded, so each float has the bits of the
+  builds no Fraction: one pass of ``spectrum._sector_numerators`` over the
+  lengths gives Lambda(J) = N_J / D on the recurrence table, with unreduced
+  integers N_J and one denominator D per L, checked in integers at every L.
+  Int true division is correctly rounded, so each float has the bits of the
   reduced Fraction's float, without its gcd.
 """
 
@@ -25,11 +25,10 @@ from __future__ import annotations
 import math
 import sys
 from fractions import Fraction
-from functools import lru_cache
 from operator import mul
 
 from .angular import _check_int
-from .spectrum import BlockSpectrum, _damping_steps, _recurrence_weights
+from .spectrum import BlockSpectrum, _recurrence_weights, _sector_numerators
 
 __all__ = ["InvalidSpectrumError", "von_neumann", "renyi"]
 
@@ -59,37 +58,25 @@ def _weights(spec: BlockSpectrum) -> Weights:
     return tuple(weights)
 
 
-@lru_cache(maxsize=None)
-def _trace_multipliers(denominators: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
-    """((2J+1) M / W_J for every J, M) for row denominators W_J and M = lcm_J W_J."""
-    common = math.lcm(*denominators)
-    return tuple((2 * J + 1) * (common // w) for J, w in enumerate(denominators)), common
-
-
 def _length_weights(S: int, lengths):
     """Yield the (Lambda(J), 2J+1) floats of each L of a sequence, checked in integers.
 
-    Lambda(J) = N_J / (W_J C(2S+1,S)^(L-1)) with N_J = sum_l n_{J,l}
-    a_l^(L-1) from the rows (n_{J,l}, W_J) of ``_recurrence_weights(S)``
-    and the powers stepped in L by ``_damping_steps``, left unreduced. At
-    every L each N_J must be non-negative and sum_J (2J+1) (M/W_J) N_J must
-    equal M C(2S+1,S)^(L-1), the trace exactly 1 over the one per-S
-    denominator M.
+    Lambda(J) = N_J / D from ``_sector_numerators`` on the rows of
+    ``_recurrence_weights(S)``, left unreduced. At every L each N_J must be
+    non-negative and sum_J (2J+1) N_J must equal D, the trace exactly 1.
     """
     _check_int("bulk spin", S, 1)
-    rows = _recurrence_weights(S)
-    denominators = tuple(w for _, w in rows)
-    multipliers, common = _trace_multipliers(denominators)
-    for L, (powers, scale) in zip(lengths, _damping_steps(S, lengths)):
-        numerators = [sum(map(mul, row, powers)) for row, _ in rows]
+    multiplicities = range(1, 2 * S + 2, 2)
+    for L, (numerators, denominator) in zip(
+        lengths, _sector_numerators(_recurrence_weights, S, lengths)
+    ):
         for J, numerator in enumerate(numerators):
             if numerator < 0:
                 raise InvalidSpectrumError(f"negative exact eigenvalue Lambda({J}) at S={S}, L={L}")
-        if sum(map(mul, multipliers, numerators)) != common * scale:
+        if sum(map(mul, multiplicities, numerators)) != denominator:
             raise InvalidSpectrumError(f"exact spectrum at S={S}, L={L} has trace other than 1")
         yield tuple(
-            (numerator / (w * scale), 2 * J + 1)
-            for J, (numerator, w) in enumerate(zip(numerators, denominators))
+            (numerator / denominator, mult) for numerator, mult in zip(numerators, multiplicities)
         )
 
 

@@ -15,19 +15,21 @@ tabulated once per S by independent integer builders:
   (``_closed_weights``, summed in integers over (2S+1)! from the
   factorial-only ``angular._three_j_zero_square``).
 
-The routes meet only in one integer kernel. Each builder returns row J of
-its table in lowest terms, as integers (n_{J,0..S}, W_J) over one
-denominator, and lambda(l,S) is the ratio a_l / C(2S+1,S) with
-a_l = (-1)^l C(2S+1,S-l), so
+The routes meet only in one integer kernel, ``_sector_numerators``. Each
+builder returns row J of its table in lowest terms, as integers
+(n_{J,0..S}, W_J) over one denominator, and lambda(l,S) is the ratio
+a_l / C(2S+1,S) with a_l = (-1)^l C(2S+1,S-l). Over the one per-S
+denominator M = lcm_J W_J, every sector of one L then shares
 
-    Lambda(J) = sum_l n_{J,l} a_l^(L-1) / (W_J C(2S+1,S)^(L-1)):
+    Lambda(J) = N_J / D,   N_J = (M/W_J) sum_l n_{J,l} a_l^(L-1),
+                           D = M C(2S+1,S)^(L-1):
 
-one integer dot product and one gcd per sector, with the powers shared by
-every J and both routes through ``_damping_powers``. The ``entropy``
-command needs floats only: ``entropy._length_weights(S, lengths)`` reads
-the recurrence rows and steps the powers from one length to the next
-(``_damping_steps``), checks sign and trace on the unreduced numerators in
-integers, and divides once per sector, with no gcd.
+one integer dot product per sector, with the powers stepped from one length
+to the next. ``eigenvalue_recurrence`` and ``eigenvalue_closed`` read one
+(S, L) at a time and reduce each N_J / D to a Fraction (one gcd);
+``entropy._length_weights(S, lengths)`` walks its lengths in one pass,
+checks sign and trace on the unreduced N_J in integers, and divides once
+per sector, with no gcd.
 
 Everything here is exact integer and rational arithmetic; no floats enter
 until entropy evaluation. Norm-squares of the underlying (unnormalized) VBS
@@ -112,7 +114,6 @@ class IPolynomial(namedtuple("IPolynomial", "S l coefficients")):
         return acc
 
 
-@lru_cache(maxsize=None)
 def i_polynomial(l: int, S: int) -> IPolynomial:
     """Build I_l for bulk spin S by the three-term recurrence, exactly.
 
@@ -218,42 +219,43 @@ def _closed_weights(S: int) -> tuple[tuple[tuple[int, ...], int], ...]:
     return tuple(rows)
 
 
-def _damping_steps(S: int, lengths):
-    """Yield (a_l^(L-1) for l = 0..S, C(2S+1,S)^(L-1)) for each L of ``lengths``.
+def _sector_numerators(weights, S: int, lengths):
+    """Yield ([N_J for J = 0..S], D) for each L of ``lengths``: Lambda(J) = N_J / D.
 
-    a_l = (-1)^l C(2S+1,S-l), so lambda(l,S) = a_l / C(2S+1,S) and the scale
-    is the l = 0 power. Going up by dL multiplies every power by its base to
-    the dL; only the first length, and one below the length before it, take
-    the powers from scratch.
+    With the rows (n_{J,l}, W_J) of ``weights(S)``, M = lcm_J W_J and
+    a_l = (-1)^l C(2S+1,S-l), so that lambda(l,S) = a_l / C(2S+1,S),
+
+        N_J = (M/W_J) sum_l n_{J,l} a_l^(L-1),   D = M C(2S+1,S)^(L-1),
+
+    left unreduced. Going up by dL multiplies every power by its base to the
+    dL; only the first length, and one below the length before it, take the
+    powers from scratch.
     """
+    rows = weights(S)
+    common = math.lcm(*(w for _, w in rows))
+    scaled = [(row, common // w) for row, w in rows]
     n = 2 * S + 1
     bases = [(-1) ** l * math.comb(n, S - l) for l in range(S + 1)]
     previous = math.inf  # the first length starts from scratch
     for L in lengths:
         _check_int("length", L, 1)
         if L < previous:
-            powers = tuple(b ** (L - 1) for b in bases)
+            powers = [b ** (L - 1) for b in bases]
         else:
-            powers = tuple(map(mul, powers, [b ** (L - previous) for b in bases]))
+            powers = list(map(mul, powers, [b ** (L - previous) for b in bases]))
         previous = L
-        yield powers, powers[0]
+        yield [m * sum(map(mul, row, powers)) for row, m in scaled], common * powers[0]
 
 
-@lru_cache(maxsize=8)
-def _damping_powers(S: int, L: int) -> tuple[tuple[int, ...], int]:
-    """``_damping_steps`` at one L, shared by every sector and both routes; an
-    entry grows linearly with L, so only the last few lengths are kept."""
-    return next(_damping_steps(S, (L,)))
+@lru_cache(maxsize=2)
+def _sector_values(weights, S: int, L: int) -> tuple[Fraction, ...]:
+    """Every Lambda(J) of one route at one (S, L), one gcd each.
 
-
-def _damped_eigenvalue(weights, S: int, L: int, J: int) -> Fraction:
-    """sum_l c(S,J,l) lambda(l,S)^(L-1) for c(S,J,l) = n_{J,l} / W_J of ``weights(S)``.
-
-    One integer dot product and one gcd (in the Fraction constructor).
+    Callers ask for the sectors one J at a time, and ``sweep`` asks both
+    routes at one (S, L) before it moves on, so two entries hold its traffic.
     """
-    numerators, common = weights(S)[J]
-    powers, scale = _damping_powers(S, L)
-    return Fraction(sum(n * p for n, p in zip(numerators, powers)), common * scale)
+    numerators, denominator = next(_sector_numerators(weights, S, (L,)))
+    return tuple(Fraction(n, denominator) for n in numerators)
 
 
 def eigenvalue_recurrence(S: int, L: int, J: int) -> Fraction:
@@ -265,7 +267,7 @@ def eigenvalue_recurrence(S: int, L: int, J: int) -> Fraction:
     _check_int("bulk spin", S, 1)
     _check_int("length", L, 1)
     _check_int("edge-spin sector J", J, 0, S)
-    return _damped_eigenvalue(_recurrence_weights, S, L, J)
+    return _sector_values(_recurrence_weights, S, L)[J]
 
 
 def eigenvalue_closed(S: int, L: int, J: int) -> Fraction:
@@ -277,7 +279,7 @@ def eigenvalue_closed(S: int, L: int, J: int) -> Fraction:
     _check_int("bulk spin", S, 1)
     _check_int("length", L, 1)
     _check_int("edge-spin sector J", J, 0, S)
-    return _damped_eigenvalue(_closed_weights, S, L, J)
+    return _sector_values(_closed_weights, S, L)[J]
 
 
 def vbs_norm(S: int, N: int) -> Fraction:

@@ -213,11 +213,15 @@ def suite_oracle(
 def _pauli_checks(max_length: int, max_dim: int, fock) -> list[dict]:
     """Spin-1 Pauli-string checks; ``fock(L, N, start)`` gives Fock spectra."""
     checks = []
+
+    @lru_cache(maxsize=None)
+    def pauli(L: int) -> list[float]:
+        return pauli_block_spectrum(L, max_dim=max_dim)
+
     match = _Check("oracle", "pauli_spectrum_matches_formula")
     detail = ""
     for L in range(2, max_length + 1):
-        observed = pauli_block_spectrum(L, max_dim=max_dim)
-        ok, detail, _ = match_spectrum(observed, _formula_entries(1, L), tol=TOL.zero)
+        ok, detail, _ = match_spectrum(pauli(L), _formula_entries(1, L), tol=TOL.zero)
         if not match.cell(not ok, S=1, L=L, detail=detail):
             break
     checks.append(match.record(f"L=2..{max_length}: " + detail))
@@ -258,7 +262,7 @@ def _pauli_checks(max_length: int, max_dim: int, fock) -> list[dict]:
 
     routes = _Check("oracle", "pauli_equals_fock")
     for L in range(2, max_length + 1):
-        deviation = _spectra_close(fock(L, L, 1), pauli_block_spectrum(L, max_dim=max_dim))
+        deviation = _spectra_close(fock(L, L, 1), pauli(L))
         routes.cell(deviation, TOL.zero, L=L, deviation=deviation)
     checks.append(
         routes.record(f"two oracle routes agree, L=2..{max_length} (max dev {routes.worst:.3e})")

@@ -435,9 +435,38 @@ def test_non_finite_alpha_exits_2(capsys, alpha):
     assert "alpha values must be finite" in err
 
 
+def test_verify_accepts_the_shortest_grid(capsys):
+    code, out, _ = run_cli(capsys, "verify", "conjecture1", "--max-spin", "1", "--max-length", "2")
+    assert code == 0
+    assert json.loads(out)["checks"]
+
+
 def test_spin_zero_message(capsys):
     _, _, err = run_cli(capsys, "spectrum", "--spin", "0")
     assert "bulk spin must be a positive integer" in err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("spectrum", "--spin", "abc"), "argument --spin: bulk spin must be a positive integer"),
+        (("spectrum", "--max-dim", "x"), "argument --max-dim: dimension cap must be a positive integer"),
+        (
+            ("spectrum", "--length", "a..b"),
+            "argument --length: length must be a positive integer or an inclusive range a..b",
+        ),
+        (("spectrum", "--method", ","), "argument --method: at least one method is required"),
+        (("entropy", "--alpha", "x"), "argument --alpha: alpha values must be numbers"),
+        (("entropy", "--alpha", "0"), "argument --alpha: alpha values must be positive"),
+    ],
+    ids=["spin", "max_dim", "length", "method", "alpha", "alpha_zero"],
+)
+def test_malformed_values_are_argparse_usage_errors(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("usage: akltblock ")
+    assert err.endswith(f"error: {message}\n")
 
 
 @pytest.mark.parametrize("method", ["fock_oracle", "pauli_oracle"])

@@ -20,9 +20,8 @@ from akltblock.spectrum import (
     EXACT_METHODS,
     BlockSpectrum,
     _closed_weights,
-    _damping_powers,
-    _damping_steps,
     _recurrence_weights,
+    _sector_numerators,
     block_spectrum,
     degenerate_norm,
     eigenvalue_closed,
@@ -59,11 +58,22 @@ def test_lambda_ratio_law_exact():
             assert lambda_coeff(l + 1, S) / lambda_coeff(l, S) == Fraction(-(S - l), S + l + 2)
 
 
+def _identity_weights(S):
+    """A table whose row l picks a_l^(L-1) alone: the kernel's N_l and D are the
+    damping powers a_l^(L-1) and C(2S+1,S)^(L-1) themselves."""
+    return tuple((tuple(int(l == j) for l in range(S + 1)), 1) for j in range(S + 1))
+
+
+def _identity_powers(S, lengths):
+    """The kernel's (powers, scale) per L of ``lengths``, read through the identity table."""
+    return list(_sector_numerators(_identity_weights, S, lengths))
+
+
 def test_integer_damping_ratio_is_lambda():
     # lambda(l,S) = (-1)^l C(2S+1,S-l) / C(2S+1,S); at L = 2 the kernel's
     # powers are those integers themselves.
     for S in range(0, 41):
-        powers, scale = _damping_powers(S, 2)
+        [(powers, scale)] = _identity_powers(S, (2,))
         assert scale == math.comb(2 * S + 1, S)
         for l in range(S + 1):
             a = (-1) ** l * math.comb(2 * S + 1, S - l)
@@ -75,7 +85,7 @@ def test_integer_damping_ratio_is_lambda():
 @settings(deadline=None, max_examples=60)
 def test_stepped_damping_powers_equal_fresh_powers(S, lengths):
     # up, down, repeated and gapped lengths all give lambda(l,S)^(L-1) exactly
-    stepped = list(_damping_steps(S, lengths))
+    stepped = _identity_powers(S, lengths)
     assert len(stepped) == len(lengths)
     for L, (powers, scale) in zip(lengths, stepped):
         assert scale == math.comb(2 * S + 1, S) ** (L - 1)
@@ -98,11 +108,15 @@ def test_lambda_out_of_range():
         lambda: lambda_coeff(True, 2),
         lambda: spin1_closed(True, True),
         lambda: fock_block_spectrum(1, True),
+        lambda: (i_polynomial(1, 2), i_polynomial(True, 2)),
+        lambda: (factorial(1), factorial(True)),
     ],
-    ids=["block_L", "recurrence_J", "lambda_l", "spin1_closed", "fock_L"],
+    ids=["block_L", "recurrence_J", "lambda_l", "spin1_closed", "fock_L", "i_polynomial_l", "factorial"],
 )
 def test_integer_arguments_reject_bool(call):
-    # bool is an int subclass; the shared validator refuses it everywhere
+    # bool is an int subclass; the shared validator refuses it everywhere,
+    # also after a call with 1: (True, 2) hashes and compares equal to (1, 2),
+    # so a cache in front of the check would hand back the cached value.
     with pytest.raises(ValueError):
         call()
 
@@ -132,6 +146,7 @@ def test_i_polynomial_seeds_and_degree():
         assert p1.coefficients == (Fraction(0), Fraction(4, (S + 2) ** 2))
         for l in range(S + 1):
             pl = i_polynomial(l, S)
+            assert pl.l == l
             assert len(pl.coefficients) == l + 1
             assert pl.coefficients[-1] != 0  # true degree l
 
@@ -170,6 +185,8 @@ def test_eigenvalue_rejects_bad_sector():
         eigenvalue_recurrence(1, 2, 2)
     with pytest.raises(ValueError):
         eigenvalue_closed(1, 0, 0)
+    with pytest.raises(ValueError):
+        spin1_closed(3, 2)
 
 
 def test_spin1_closed_forms():
@@ -221,7 +238,7 @@ def test_weight_tables_obey_the_trace_law_for_every_length():
 def test_first_damping_order_dominates():
     # |lambda(l,S)| <= |lambda(1,S)| for l >= 1, which flat_limit_bound relies on.
     for S in range(1, 25):
-        powers, _ = _damping_powers(S, 2)
+        [(powers, _)] = _identity_powers(S, (2,))
         assert all(abs(a) <= abs(powers[1]) for a in powers[1:])
 
 
@@ -362,12 +379,14 @@ def test_vbs_norm_frozen_values():
     assert vbs_norm(1, 1) == 6
     assert vbs_norm(1, 2) == 18
     assert vbs_norm(2, 1) == 480
-    # closed form [(2S+1)!/(S+1)]^N S!(S+1)!
+    # closed form [(2S+1)!/(S+1)]^N S!(S+1)!; N = 0 is the two end spins alone
     for S in (1, 2, 3):
-        for N in (1, 2, 3):
+        for N in (0, 1, 2, 3):
             want = Fraction(math.factorial(2 * S + 1), S + 1) ** N
             want *= math.factorial(S) * math.factorial(S + 1)
             assert vbs_norm(S, N) == want
+        with pytest.raises(ValueError):
+            vbs_norm(S, -1)
 
 
 def test_degenerate_norm_frozen_values():

@@ -139,6 +139,19 @@ def test_hamiltonian_suite_diagonalizes_each_matrix_once(monkeypatch):
     assert sorted(map(id, diagonalized)) == sorted(map(id, built))
 
 
+def test_oracle_suite_builds_one_pauli_spectrum_per_length(monkeypatch):
+    built = []
+    real = verify.pauli_block_spectrum
+
+    def counted(L, max_dim):
+        built.append(L)
+        return real(L, max_dim=max_dim)
+
+    monkeypatch.setattr(verify, "pauli_block_spectrum", counted)
+    all_passed(suite_oracle(spin=1, max_length=6))
+    assert built == [2, 3, 4, 5, 6]
+
+
 def test_appendix_suite_passes():
     all_passed(suite_appendix(max_spin=2))
 
