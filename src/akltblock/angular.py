@@ -176,8 +176,6 @@ def three_j_zero(l1: int, l2: int, l3: int) -> SignedSqrtRational:
 
     Any invalid triple (including negative orders) yields exact zero.
     """
-    if min(l1, l2, l3) < 0:
-        return _zero()
     total = l1 + l2 + l3
     if total % 2 or not abs(l1 - l2) <= l3 <= l1 + l2:
         return _zero()

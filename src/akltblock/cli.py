@@ -342,23 +342,18 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     commands = parser.add_subparsers(dest="command", required=True)
 
-    spectrum = commands.add_parser("spectrum", help="block density-matrix eigenvalues")
-    _add_common(spectrum, lengths_default="2")
-    spectrum.add_argument(
-        "--method",
-        type=_method_list,
-        default=("recurrence",),
-        help="comma list from: " + ", ".join(ALL_METHODS),
-    )
-
-    sweep = commands.add_parser("sweep", help="spectra over a length range")
-    _add_common(sweep, lengths_default="2..8")
-    sweep.add_argument(
-        "--method",
-        type=_method_list,
-        default=("recurrence", "closed_form"),
-        help="comma list from: " + ", ".join(ALL_METHODS),
-    )
+    for name, help_text, lengths_default, method_default in (
+        ("spectrum", "block density-matrix eigenvalues", "2", ("recurrence",)),
+        ("sweep", "spectra over a length range", "2..8", ("recurrence", "closed_form")),
+    ):
+        command = commands.add_parser(name, help=help_text)
+        _add_common(command, lengths_default=lengths_default)
+        command.add_argument(
+            "--method",
+            type=_method_list,
+            default=method_default,
+            help="comma list from: " + ", ".join(ALL_METHODS),
+        )
 
     entropy = commands.add_parser("entropy", help="von Neumann and Renyi block entropies")
     _add_common(entropy, lengths_default="2")

@@ -14,7 +14,7 @@ boundary: each dense entry is the root of one exact rational square.
 
 Basis ordering is site-major with magnetization ascending from -s:
 ``index = sum_j i_j * prod_{j'<j} (ts_{j'}+1)`` with ``i_j = (tm_j+ts_j)/2``
-(site 0 varies fastest).
+(site 0 varies fastest); :func:`_monomial` computes it.
 
 Public functions take the bulk spin S and the edge quantum numbers (J, M) as
 plain integers; twice-values appear only in per-site spins, where the
@@ -24,6 +24,7 @@ boundary sites genuinely carry half-integer spin S/2.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from fractions import Fraction
 
 import numpy as np
@@ -67,51 +68,41 @@ __all__ = [
 ]
 
 
-def _occupation_weight(spins: tuple[int, ...], tms: tuple[int, ...]) -> int:
-    """Norm-square prod_j p_j! q_j! of a boson monomial over the given sites."""
-    return math.prod(
-        factorial((ts + tm) // 2) * factorial((ts - tm) // 2) for ts, tm in zip(spins, tms)
-    )
+def _monomial(spins: tuple[int, ...], tms: tuple[int, ...]) -> tuple[int, int]:
+    """Site-major basis index and norm-square prod_j p_j! q_j! of one boson monomial."""
+    index, stride, weight = 0, 1, 1
+    for ts, tm in zip(spins, tms):
+        p = (ts + tm) // 2
+        index += p * stride
+        stride *= ts + 1
+        weight *= factorial(p) * factorial(ts - p)
+    return index, weight
 
 
-class StateVector:
+class StateVector(namedtuple("StateVector", "spins amps scale_square sector")):
     """Sparse exact state over the Schwinger occupation basis.
 
     ``amps`` maps per-site twice-magnetization tuples to integer or rational
     amplitudes; the physical coefficient of a monomial is
     ``sqrt(scale_square) * amps[key]``, with ``scale_square`` one shared
     positive rational. ``sector`` optionally tags the (J, M) edge quantum
-    numbers once a boundary operator has been applied.
+    numbers once a boundary operator has been applied. Zero amplitudes are
+    dropped on construction.
     """
 
-    __slots__ = ("spins", "amps", "scale_square", "sector")
+    __slots__ = ()
 
-    def __init__(
-        self,
+    def __new__(
+        cls,
         spins: tuple[int, ...],
         amps: dict[tuple[int, ...], Fraction | int],
         scale_square: Fraction | int = Fraction(1),
         sector: tuple[int, int] | None = None,
-    ) -> None:
+    ) -> StateVector:
         if scale_square <= 0:
             raise ValueError(f"scale_square must be positive, got {scale_square}")
-        self.spins = spins
-        self.amps = {k: v for k, v in amps.items() if v != 0}
-        self.scale_square = scale_square
-        self.sector = sector
-
-    def _key(self) -> tuple:
-        return (self.spins, self.amps, self.scale_square, self.sector)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __repr__(self) -> str:
-        return "StateVector(spins={!r}, amps={!r}, scale_square={!r}, sector={!r})".format(
-            *self._key()
-        )
+        amps = {k: v for k, v in amps.items() if v != 0}
+        return super().__new__(cls, spins, amps, scale_square, sector)
 
     @property
     def nsites(self) -> int:
@@ -134,7 +125,7 @@ class StateVector:
         """
         total = Fraction(0)
         for key, amp in self.amps.items():
-            total += amp * amp * _occupation_weight(self.spins, key)
+            total += amp * amp * _monomial(self.spins, key)[1]
         return total * self.scale_square
 
     def to_dense(self, normalized: bool = True) -> np.ndarray:
@@ -143,18 +134,9 @@ class StateVector:
             raise ResourceCapError(
                 f"dense vector of {self.dimension} entries exceeds the cap {MAX_STATE_ENTRIES}"
             )
-        strides = []
-        acc = 1
-        for d in self.dims:
-            strides.append(acc)
-            acc *= d
         out = np.zeros(self.dimension)
         for key, amp in self.amps.items():
-            index = 0
-            weight = 1
-            for ts, tm, stride in zip(self.spins, key, strides):
-                index += ((tm + ts) // 2) * stride
-                weight *= factorial((ts + tm) // 2) * factorial((ts - tm) // 2)
+            index, weight = _monomial(self.spins, key)
             out[index] = _signed_root(amp, amp * amp * weight * self.scale_square)
         if normalized:
             norm_sq = self.norm_square_exact()
@@ -379,15 +361,12 @@ def correlator_reconstruction(
     environments: dict[tuple[int, ...], list[tuple[int, Fraction]]] = {}
     block_weight = {}
     for key, amp in state.amps.items():
-        index, stride = 0, 1
-        for ts, tm in zip(block_spins, key[start:stop]):
-            index += ((tm + ts) // 2) * stride
-            stride *= ts + 1
-        block_weight[index] = _occupation_weight(block_spins, key[start:stop])
+        index, weight = _monomial(block_spins, key[start:stop])
+        block_weight[index] = weight
         environments.setdefault(key[:start] + key[stop:], []).append((index, amp))
     sums: dict[tuple[int, int], Fraction] = {}
     for env, members in environments.items():
-        env_weight = _occupation_weight(env_spins, env)
+        env_weight = _monomial(env_spins, env)[1]
         for a, amp_a in members:
             for b, amp_b in members:
                 sums[a, b] = sums.get((a, b), 0) + amp_a * amp_b * env_weight

@@ -22,6 +22,7 @@ from akltblock.angular import (
     TOL,
     SignedSqrtRational,
     _sqrt_exact,
+    _tfact,
     _three_j_zero_square,
     clebsch_gordan,
     factorial,
@@ -136,6 +137,13 @@ def test_three_j_zero_frozen():
     assert three_j_zero(3, 1, 1) == SignedSqrtRational.zero()
 
 
+def test_three_j_zero_is_exact_zero_at_any_negative_order():
+    # The triangle test alone rules out every negative order.
+    for orders in itertools.product(range(-4, 5), repeat=3):
+        if min(orders) < 0:
+            assert three_j_zero(*orders) == SignedSqrtRational.zero(), orders
+
+
 def test_selection_rules_give_exact_zero():
     assert clebsch_gordan(2, 2, 2, -2, 2, 2).sign == 0       # M != m1 + m2
     assert clebsch_gordan(2, 0, 2, 0, 6, 0).sign == 0        # J outside triangle
@@ -148,6 +156,11 @@ def test_argument_validation():
         clebsch_gordan(1, 3, 1, -1, 1, 1)      # |m1| > j1
     with pytest.raises(ValueError):
         wigner_3j(2, 2, 2, 1, -1, 0)           # odd 2m against even 2j
+
+
+def test_twice_factorial_rejects_odd_twice_values():
+    with pytest.raises(ValueError, match="even non-negative twice-value"):
+        _tfact(3)
 
 
 # ---------------------------------------------------------------------------

@@ -250,6 +250,25 @@ def test_entropy_validates_each_spectrum_once(capsys, monkeypatch):
     assert checked == {(3, L): 1 for L in range(2, 6)}
 
 
+@pytest.mark.parametrize(
+    "command, lengths, methods",
+    [
+        ("spectrum", (2,), ("recurrence",)),
+        ("sweep", (2, 3, 4, 5, 6, 7, 8), ("recurrence", "closed_form")),
+    ],
+)
+def test_spectrum_and_sweep_parser_defaults(command, lengths, methods):
+    assert vars(cli.build_parser().parse_args([command])) == {
+        "command": command,
+        "spin": 1,
+        "length": lengths,
+        "output_format": "json",
+        "max_dim": 4096,
+        "out": None,
+        "method": methods,
+    }
+
+
 def _entropy_document_via_spectra(argv):
     """The entropy document built from exact BlockSpectrum values and ``renyi``."""
     args = cli.build_parser().parse_args(argv)

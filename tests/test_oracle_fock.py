@@ -395,6 +395,57 @@ def test_dense_entries_survive_squares_past_the_float_range():
 
 
 # ---------------------------------------------------------------------------
+# validation of states and arguments
+# ---------------------------------------------------------------------------
+
+def test_bond_sites_must_be_distinct():
+    with pytest.raises(ValueError, match="bond sites must be distinct"):
+        valence_bond_power(vacuum(3), 1, 1, 1)
+
+
+def test_psi_dagger_refuses_states_that_are_not_block_vbs():
+    # Spins (1, 1, 0): the last site carries no boson, so it is no spin-S/2 end.
+    with pytest.raises(ValueError, match="expected a block VBS state"):
+        apply_psi_dagger(valence_bond_power(vacuum(3), 0, 1, 1), 0, 0)
+
+
+def test_states_over_different_spins_or_radicals_do_not_combine():
+    spin_half_pair = build_block_vbs(1, 2)
+    spin_one_pair = valence_bond_power(vacuum(2), 0, 1, 2)
+    with pytest.raises(ValueError, match="different site spins"):
+        linear_combine(spin_half_pair, spin_one_pair, 1, 1)
+    assert not states_equal_exact(spin_half_pair, spin_one_pair)
+    states = degenerate_states(1, 2)
+    with pytest.raises(ValueError, match="incompatible scale radicals"):
+        linear_combine(states[(0, 0)], states[(1, 1)], 1, -1)
+    assert not states_equal_exact(states[(0, 0)], states[(1, 1)])
+
+
+def test_total_spin_checks_need_a_tagged_nonzero_state():
+    with pytest.raises(ValueError, match="carries no"):
+        total_spin_checks(build_block_vbs(1, 2))
+    zero = StateVector(spins=(1, 1), amps={(1, -1): 0}, sector=(0, 0))
+    with pytest.raises(ValueError, match="zero state"):
+        total_spin_checks(zero)
+
+
+def test_ladder_residual_needs_tagged_adjacent_sectors():
+    block = build_block_vbs(1, 2)
+    with pytest.raises(ValueError, match="must carry"):
+        ladder_residual(block, block)
+    states = degenerate_states(1, 2)
+    with pytest.raises(ValueError, match="expected sectors"):
+        ladder_residual(states[(1, -1)], states[(1, 1)])
+
+
+def test_zero_state_has_a_dense_vector_but_no_normalization():
+    zero = StateVector(spins=(1, 1), amps={})
+    assert not zero.to_dense(normalized=False).any()
+    with pytest.raises(ValueError, match="cannot normalize the zero state"):
+        zero.to_dense()
+
+
+# ---------------------------------------------------------------------------
 # resource caps
 # ---------------------------------------------------------------------------
 

@@ -19,6 +19,7 @@ from akltblock.oracle import (
     degenerate_states,
     null_space,
     pair_projector,
+    require_hermitian,
     spin_matrices,
     unique_hamiltonian,
 )
@@ -285,3 +286,10 @@ def test_hamiltonian_build_and_null_space_stay_near_one_matrix():
         tracemalloc.stop()
     assert kernel.shape == (1125, 1)
     assert peak <= 1.25 * matrix_bytes
+
+
+def test_require_hermitian_refuses_non_square_and_non_hermitian_matrices():
+    with pytest.raises(ValueError, match="expected a square matrix"):
+        require_hermitian(np.zeros((2, 3)))
+    with pytest.raises(ValueError, match="not Hermitian"):
+        require_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))

@@ -6,6 +6,8 @@ its four distinguished eigenvectors are compared against the closed forms
 and against the independent boson-polynomial oracle.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -173,3 +175,15 @@ def test_some_components_are_genuinely_complex():
 @pytest.mark.parametrize("L", [2, 3, 4, 5])
 def test_channel_identity_residual(L):
     assert pauli_channel_identity_check(L) < 1e-13
+
+
+def test_channel_identity_refuses_long_strings_before_allocating():
+    # 3^15 strings exceed MAX_STATE_ENTRIES; the refusal comes before any array.
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceCapError, match=r"3\^15 Pauli strings"):
+            pauli_channel_identity_check(16)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024

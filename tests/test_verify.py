@@ -117,6 +117,15 @@ def test_hamiltonian_suite_skips_lengths_past_the_cap():
         suite_hamiltonian(spin=1, lengths=[8, 2])
 
 
+def test_hamiltonian_suite_default_lengths_past_spin_two():
+    # From S = 3 on the default lengths are L = N = 2 alone.
+    checks = suite_hamiltonian(spin=3)
+    all_passed(checks)
+    detail = {c["name"]: c["detail"] for c in checks}["block_ground_space"]
+    assert detail.startswith("L=2: null dim 16,")
+    assert detail.count("L=") == 1
+
+
 def test_hamiltonian_suite_diagonalizes_each_matrix_once(monkeypatch):
     built, diagonalized = [], []
 
