@@ -129,20 +129,28 @@ class StateVector(namedtuple("StateVector", "spins amps scale_square sector")):
         return total * self.scale_square
 
     def to_dense(self, normalized: bool = True) -> np.ndarray:
-        """Dense orthonormal-basis vector (the exact-to-float boundary)."""
+        """Dense orthonormal-basis vector (the exact-to-float boundary).
+
+        One pass over the monomials gives each entry's exact square and the
+        norm-square; with ``scale_square == 1`` both stay plain integers for
+        integer amplitudes.
+        """
         if self.dimension > MAX_STATE_ENTRIES:
             raise ResourceCapError(
                 f"dense vector of {self.dimension} entries exceeds the cap {MAX_STATE_ENTRIES}"
             )
         out = np.zeros(self.dimension)
+        scale, unscaled = self.scale_square, self.scale_square == 1
+        norm_sq = 0
         for key, amp in self.amps.items():
             index, weight = _monomial(self.spins, key)
-            out[index] = _signed_root(amp, amp * amp * weight * self.scale_square)
+            square = amp * amp * weight
+            norm_sq += square
+            out[index] = _signed_root(amp, square if unscaled else square * scale)
         if normalized:
-            norm_sq = self.norm_square_exact()
             if norm_sq == 0:
                 raise ValueError("cannot normalize the zero state")
-            out /= math.sqrt(float(norm_sq))
+            out /= math.sqrt(float(norm_sq * scale))
         return out
 
 

@@ -17,6 +17,8 @@ module and its numpy oracle.
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_left, bisect_right
 from collections.abc import Sequence
 from fractions import Fraction
 from functools import lru_cache
@@ -25,7 +27,7 @@ import numpy as np
 
 from .angular import TOL
 from .exact_suites import SUITES, _Check, run_suite, suite_conjecture1, suite_flat_limit
-from .oracle.dense import DEFAULT_MAX_DIM, ResourceCapError, eigenspectrum, numerical_rank
+from .oracle.dense import DEFAULT_MAX_DIM, ResourceCapError, numerical_rank
 from .oracle.fock import (
     _block_factor,
     apply_spin_lowering,
@@ -44,10 +46,10 @@ from .oracle.fock import (
     valence_bond_power,
 )
 from .oracle.hamiltonians import (
-    block_hamiltonian,
-    null_space,
+    _block_sectors,
+    _open_chain_sectors,
+    _sector_null_space,
     pair_projector,
-    unique_hamiltonian,
 )
 from .oracle.pauli import (
     pauli_block_spectrum,
@@ -85,9 +87,10 @@ def match_spectrum(
     states, Lambda(J < S) = 0 at L = 1), has no room for those directions.
     Returns (ok, detail, rows): rows are (J, mean of the claimed values,
     2J+1) sorted by J, then, if values are left unclaimed, one row
-    (None, max |leftover|, leftover count).
+    (None, max |leftover|, leftover count). The unclaimed values are kept
+    sorted, so each claim is found by bisection (:func:`_nearest`).
     """
-    remaining = list(observed)
+    remaining = sorted(observed)
     failure = None
     worst_match = 0.0
     rows = []
@@ -95,8 +98,7 @@ def match_spectrum(
         target = float(lam)
         claimed = []
         while remaining and len(claimed) < 2 * J + 1:
-            best = min(range(len(remaining)), key=lambda i: abs(remaining[i] - target))
-            claimed.append(remaining.pop(best))
+            claimed.append(remaining.pop(_nearest(remaining, target)))
             deviation = abs(claimed[-1] - target)
             worst_match = max(worst_match, deviation)
             if deviation > tol and failure is None:
@@ -116,6 +118,25 @@ def match_spectrum(
         failure = f"leftover eigenvalue {worst_leftover:.3e} exceeds {TOL.zero}"
     detail = failure or f"max match dev {worst_match:.3e}, max leftover {worst_leftover:.3e}"
     return failure is None, detail, rows
+
+
+def _nearest(values: list[float], target: float) -> int:
+    """Position in ascending ``values`` of the value closest to ``target``.
+
+    A tie in |value - target| goes to the larger value, and among equal
+    values to the first. The closest value below ``target`` is its lower
+    neighbour. Above it, rounding can give a larger value the same float
+    distance as the upper neighbour, so equal-distance values are stepped
+    over, one run of equal values at a time.
+    """
+    i = bisect_left(values, target)
+    if i == len(values) or (i and target - values[i - 1] < values[i] - target):
+        return bisect_left(values, values[i - 1])
+    best, distance = i, values[i] - target
+    step = bisect_right(values, values[i])
+    while step < len(values) and values[step] - target == distance:
+        best, step = step, bisect_right(values, values[step])
+    return best
 
 
 def label_sectors(
@@ -336,14 +357,14 @@ def suite_hamiltonian(
     info = []
     for L in lengths:
         try:
-            ham = block_hamiltonian(S, L, max_dim=max_dim)
+            _, sectors = _block_sectors(S, L, max_dim=max_dim)
         except ResourceCapError:
             continue
-        values = eigenspectrum(ham, max_dim=max_dim)
-        dim_null = sum(v < TOL.null_space for v in values)
-        lowest = min(values)
+        values = np.concatenate([np.linalg.eigvalsh(block) for _, block in sectors])
+        dim_null = int(np.count_nonzero(values < TOL.null_space))
+        lowest = values.min()
         residual = max(
-            float(np.linalg.norm(ham @ state.to_dense()))
+            _sector_residual(sectors, state.to_dense())
             for state in degenerate_states(S, L).values()
         )
         info.append(f"L={L}: null dim {dim_null}, residual {residual:.1e}")
@@ -363,13 +384,13 @@ def suite_hamiltonian(
     null_dims = {}
     for N in lengths:
         try:
-            ham = unique_hamiltonian(S, N, max_dim=max_dim)
+            dim, sectors = _open_chain_sectors(S, N, max_dim=max_dim)
         except ResourceCapError:
             continue
-        basis = null_space(ham, max_dim=max_dim)
+        basis = _sector_null_space(dim, sectors)
         null_dims[N] = basis.shape[1]
         vbs = build_full_vbs(S, N).to_dense()
-        residual = float(np.linalg.norm(ham @ vbs))
+        residual = _sector_residual(sectors, vbs)
         overlap = float(np.abs(basis.T @ vbs).max()) if basis.shape[1] else 0.0
         info.append(f"N={N}: null dim {basis.shape[1]}, residual {residual:.1e}")
         if not unique.cell(
@@ -384,16 +405,21 @@ def suite_hamiltonian(
     checks.append(unique.record("; ".join(info) or "no size within cap"))
 
     N = lengths[0]
-    ham = None  # free the last open-chain matrix before the rescaled one is built
+    sectors = None  # free the last open-chain blocks before the rescaled ones are built
     # Had the cap skipped lengths[0] above, this build raises ResourceCapError.
-    doubled = unique_hamiltonian(S, N, C=[2.0] * S, D=[2.0] * S, max_dim=max_dim)
+    doubled = _open_chain_sectors(S, N, C=[2.0] * S, D=[2.0] * S, max_dim=max_dim)
     rescale = _Check("hamiltonian", "coupling_rescale_invariance")
-    doubled_null = null_space(doubled, max_dim=max_dim).shape[1]
+    doubled_null = _sector_null_space(*doubled).shape[1]
     rescale.cell(doubled_null != null_dims[N], S=S, N=N)
     checks.append(
         rescale.record(f"S={S}, N={N}: doubling all projector weights preserves the null space")
     )
     return checks
+
+
+def _sector_residual(sectors, vec: np.ndarray) -> float:
+    """||H vec|| for H given by its (idx, block) S^z sectors."""
+    return math.sqrt(sum(float(np.dot(r, r)) for r in (block @ vec[idx] for idx, block in sectors)))
 
 
 def suite_appendix(max_spin: int = 2) -> list[dict]:

@@ -35,7 +35,7 @@ from akltblock.oracle import (
     vacuum,
     valence_bond_power,
 )
-from akltblock.angular import SignedSqrtRational
+from akltblock.angular import SignedSqrtRational, _signed_root
 from akltblock.oracle.dense import DEFAULT_MAX_DIM
 from akltblock.spectrum import degenerate_norm, eigenvalue_recurrence, vbs_norm
 from akltblock.verify import match_spectrum
@@ -332,6 +332,18 @@ def test_dense_entries_equal_the_signed_radical_composition():
             square = _weight(state.spins, key) * state.scale_square
             want[_index(state.spins, key)] = _signed_root_reference(amp, square)
         assert np.array_equal(state.to_dense(normalized=False), want)
+
+
+def test_normalized_dense_vector_is_the_per_entry_root_over_the_exact_norm():
+    # The one-pass conversion must give the bits of rounding each entry's
+    # exact square once and dividing by the root of the exact norm-square.
+    for state in _oracle_states(3):
+        want = np.zeros(state.dimension)
+        for key, amp in state.amps.items():
+            square = Fraction(amp) ** 2 * _weight(state.spins, key) * state.scale_square
+            want[_index(state.spins, key)] = _signed_root(amp, square)
+        want /= math.sqrt(float(state.norm_square_exact()))
+        assert np.array_equal(state.to_dense(), want)
 
 
 def test_correlator_entries_equal_the_signed_radical_composition():

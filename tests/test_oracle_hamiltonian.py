@@ -23,7 +23,8 @@ from akltblock.oracle import (
     spin_matrices,
     unique_hamiltonian,
 )
-from akltblock.oracle.hamiltonians import _components
+from akltblock import verify
+from akltblock.oracle.hamiltonians import _block_sectors, _components, _open_chain_sectors
 
 
 def embed_pair(pair_op: np.ndarray, dims, site: int) -> np.ndarray:
@@ -214,6 +215,65 @@ def test_builders_sum_the_bond_projectors(S):
         want += embed_pair(left, dims, 0)
         want += embed_pair(right, dims, N)
         assert np.array_equal(unique_hamiltonian(S, N, C=C, D=D), want), N
+
+
+def _kron_reference(S, spins, C, D):
+    """The bond sum of ``test_builders_sum_the_bond_projectors`` over any chain."""
+    dims = tuple(ts + 1 for ts in spins)
+    want = np.zeros((math.prod(dims),) * 2)
+    for site, (a, b) in enumerate(zip(spins, spins[1:])):
+        weights = C if a == b else D
+        two_js = range(a + b - 2 * S + 2, a + b + 1, 2)
+        pair = sum(w * pair_projector(a, b, tj) for w, tj in zip(weights, two_js))
+        want += embed_pair(pair, dims, site)
+    return want
+
+
+@pytest.mark.parametrize("S", [1, 2, 3])
+def test_sector_blocks_are_the_s_z_blocks_of_the_bond_sum(S):
+    # Every block is H[idx, idx] of the Kronecker bond sum, the idx sets
+    # partition the basis by ascending total twice-magnetization, and H is
+    # zero outside the blocks.
+    C = [1.0 + 0.5 * k for k in range(S)]
+    D = [0.3 + 0.7 * k for k in range(S)]
+    chains = [((2 * S,) * L, _block_sectors(S, L, C)) for L in (2, 3)]
+    chains += [((S,) + (2 * S,) * N + (S,), _open_chain_sectors(S, N, C, D)) for N in (1, 2)]
+    for spins, (dim, sectors) in chains:
+        want = _kron_reference(S, spins, C, D)
+        assert dim == len(want)
+        site_tms = [np.arange(-ts, ts + 1, 2) for ts in reversed(spins)]
+        tms = sum(np.meshgrid(*site_tms, indexing="ij")).ravel()  # site 0 fastest
+        covered = np.zeros_like(want, dtype=bool)
+        assert [tms[idx[0]] for idx, _ in sectors] == list(range(-sum(spins), sum(spins) + 1, 2))
+        for idx, block in sectors:
+            assert np.all(np.diff(idx) > 0) and np.all(tms[idx] == tms[idx[0]])
+            assert np.allclose(block, want[np.ix_(idx, idx)], rtol=0, atol=1e-13)
+            covered[np.ix_(idx, idx)] = True
+        assert sum(len(idx) for idx, _ in sectors) == dim
+        assert not want[~covered].any()
+
+
+def test_hamiltonian_suite_stays_far_below_one_chain_matrix():
+    # S=2, N=3: the open chain has 1125 states. The suite reads S^z blocks
+    # only, so its traced peak stays under a quarter of one dense matrix.
+    tracemalloc.start()
+    try:
+        checks = verify.suite_hamiltonian(spin=2, lengths=[3])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert all(check["passed"] for check in checks)
+    assert peak <= 0.25 * 1125**2 * 8
+
+
+def test_pair_projector_hands_out_copies_of_one_memoized_matrix():
+    first = pair_projector(2, 2, 4)
+    first[0, 0] = 7.0
+    second = pair_projector(2, 2, 4)
+    assert second[0, 0] != 7.0 and second.flags.writeable
+    assert np.array_equal(second, pair_projector(2, 2, 4))
+    with pytest.raises(ValueError):
+        pair_projector(2.0, 2, 4)
 
 
 # ---------------------------------------------------------------------------

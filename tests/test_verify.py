@@ -4,8 +4,12 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from akltblock import exact_suites, verify
+from akltblock.angular import TOL
+from akltblock.oracle import hamiltonians
 from akltblock.oracle import ResourceCapError
 from akltblock.spectrum import BlockSpectrum, block_spectrum
 from akltblock.verify import (
@@ -74,6 +78,66 @@ def test_match_spectrum_respects_tolerances():
     assert not ok
 
 
+def _linear_match(observed, expected, tol):
+    """The matcher as one linear scan per claim, a tie going to the larger value."""
+    remaining = list(observed)
+    failure, worst_match, rows = None, 0.0, []
+    for J, lam in sorted(expected, key=lambda item: -float(item[1])):
+        target, claimed = float(lam), []
+        while remaining and len(claimed) < 2 * J + 1:
+            best = min(
+                range(len(remaining)),
+                key=lambda i: (abs(remaining[i] - target), -remaining[i]),
+            )
+            claimed.append(remaining.pop(best))
+            deviation = abs(claimed[-1] - target)
+            worst_match = max(worst_match, deviation)
+            if deviation > tol and failure is None:
+                failure = (
+                    f"J={J}: expected {target!r}, closest observed "
+                    f"{claimed[-1]!r} (|diff|={deviation:.3e} > {tol})"
+                )
+        if lam != 0 and len(claimed) < 2 * J + 1 and failure is None:
+            failure = f"ran out of eigenvalues while matching J={J}"
+        if claimed:
+            rows.append((J, sum(claimed) / len(claimed), 2 * J + 1))
+    rows.sort()
+    worst_leftover = max((abs(v) for v in remaining), default=0.0)
+    if remaining:
+        rows.append((None, worst_leftover, len(remaining)))
+    if worst_leftover > TOL.zero and failure is None:
+        failure = f"leftover eigenvalue {worst_leftover:.3e} exceeds {TOL.zero}"
+    detail = failure or f"max match dev {worst_match:.3e}, max leftover {worst_leftover:.3e}"
+    return failure is None, detail, rows
+
+
+# Exact ties: 0.375 sits halfway between 0.25 and 0.5, and 1 + 2u and
+# 1 + 3u (u = 2^-52) lie at the same rounded distance from 2^-53.
+_TIED_VALUES = [0.0, -0.0, 0.25, 0.375, 0.5, 1 / 3, 2 / 9, 1e-17, -1e-17,
+                1.0, 1 + 2 * 2.0**-52, 1 + 3 * 2.0**-52, 2.0**-53]
+_values = st.one_of(st.sampled_from(_TIED_VALUES), st.floats(-1.0, 2.0))
+
+
+@settings(deadline=None, max_examples=300)
+@given(
+    observed=st.lists(_values, max_size=14),
+    expected=st.dictionaries(
+        st.integers(0, 3),
+        st.one_of(st.sampled_from(_TIED_VALUES), st.fractions(0, 1, max_denominator=12)),
+        max_size=4,
+    ),
+    tol=st.sampled_from([1e-9, 0.2]),
+)
+@example(observed=[0.25, 0.5], expected={0: 0.375}, tol=1e-9)
+@example(observed=[1 + 2 * 2.0**-52, 1 + 3 * 2.0**-52], expected={0: 2.0**-53}, tol=1e-9)
+@example(observed=[-0.0, 0.0, 2.0], expected={0: 0.5}, tol=1e-9)
+def test_match_spectrum_claims_like_a_linear_scan(observed, expected, tol):
+    expected = list(expected.items())
+    assert match_spectrum(observed, expected, tol) == _linear_match(observed, expected, tol)
+    descending = sorted(observed, reverse=True)
+    assert match_spectrum(descending, expected, tol) == _linear_match(descending, expected, tol)
+
+
 # ---------------------------------------------------------------------------
 # suites (reduced grids; the acceptance suite runs the contracted ones)
 # ---------------------------------------------------------------------------
@@ -127,25 +191,34 @@ def test_hamiltonian_suite_default_lengths_past_spin_two():
 
 
 def test_hamiltonian_suite_diagonalizes_each_matrix_once(monkeypatch):
-    built, diagonalized = [], []
+    # Every S^z block that the sector builder returns is screened by one
+    # eigvalsh; eigh runs once, on the block that holds the open chain's null
+    # vector. Nothing else, and no chain-size matrix, is diagonalized.
+    built, screened, solved = [], [], []
+    real_sectors = hamiltonians._chain_sectors
 
-    def spy(name, calls, keep_result):
-        real = getattr(verify, name)
+    def chain_sectors(*args):
+        dim, sectors = real_sectors(*args)
+        built.append(sectors)
+        return dim, sectors
 
-        def wrapper(*args, **kwargs):
-            result = real(*args, **kwargs)
-            calls.append(result if keep_result else args[0])
-            return result
+    def spy(name, calls):
+        real = getattr(np.linalg, name)
 
-        monkeypatch.setattr(verify, name, wrapper)
+        def wrapper(mat, *args, **kwargs):
+            calls.append(mat)
+            return real(mat, *args, **kwargs)
 
-    spy("block_hamiltonian", built, True)
-    spy("unique_hamiltonian", built, True)
-    spy("null_space", diagonalized, False)
-    spy("eigenspectrum", diagonalized, False)
+        monkeypatch.setattr(np.linalg, name, wrapper)
+
+    monkeypatch.setattr(hamiltonians, "_chain_sectors", chain_sectors)
+    spy("eigvalsh", screened)
+    spy("eigh", solved)
     all_passed(suite_hamiltonian(spin=1, lengths=[2, 3]))
     assert len(built) == 5  # two block, two open-chain, one rescaled
-    assert sorted(map(id, diagonalized)) == sorted(map(id, built))
+    assert sorted(map(id, screened)) == sorted(id(b) for sectors in built for _, b in sectors)
+    # one eigh per open-chain build, on its middle (S^z = 0) block
+    assert list(map(id, solved)) == [id(sectors[len(sectors) // 2][1]) for sectors in built[2:]]
 
 
 def test_oracle_suite_builds_one_pauli_spectrum_per_length(monkeypatch):
@@ -347,27 +420,22 @@ def test_pauli_ground_states_report_first_counterexample(monkeypatch):
 
 def test_hamiltonian_checks_report_first_counterexample(monkeypatch):
     real_projector = verify.pair_projector
-    real_block = verify.block_hamiltonian
-    real_unique = verify.unique_hamiltonian
-
-    def shifted(ham):
-        return ham + 1e-3 * np.eye(ham.shape[0])
+    real_sectors = hamiltonians._chain_sectors
 
     def pair_projector(two_j1, two_j2, two_jbond):
         proj = real_projector(two_j1, two_j2, two_jbond)
         return proj * 1.001 if two_jbond == 2 else proj
 
-    def block_hamiltonian(S, L, max_dim):
-        ham = real_block(S, L, max_dim=max_dim)
-        return shifted(ham) if L >= 3 else ham
-
-    def unique_hamiltonian(S, N, C=None, D=None, max_dim=None):
-        ham = real_unique(S, N, C=C, D=D, max_dim=max_dim)
-        return shifted(ham) if N >= 3 or C is not None else ham
+    def chain_sectors(S, spins, C, D, max_dim, what):
+        # Shift every S^z block of the L >= 3 block, the N >= 3 open chain
+        # and the rescaled chain by 1e-3: no null vector is left there.
+        dim, sectors = real_sectors(S, spins, C, D, max_dim, what)
+        if spins.count(2 * S) >= 3 or C is not None:
+            sectors = [(idx, block + 1e-3 * np.eye(len(idx))) for idx, block in sectors]
+        return dim, sectors
 
     monkeypatch.setattr(verify, "pair_projector", pair_projector)
-    monkeypatch.setattr(verify, "block_hamiltonian", block_hamiltonian)
-    monkeypatch.setattr(verify, "unique_hamiltonian", unique_hamiltonian)
+    monkeypatch.setattr(hamiltonians, "_chain_sectors", chain_sectors)
     checks = suite_hamiltonian(spin=1, lengths=[2, 3, 4])
     assert list(_counterexample(checks, "projector_algebra").items()) == [
         ("S", 1), ("worst", pytest.approx(3e-3, rel=1e-6)),
