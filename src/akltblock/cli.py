@@ -206,50 +206,42 @@ def _render_json(doc: dict) -> str:
     return "{\n" + ",\n".join(items) + "\n}\n"
 
 
+_SPECTRUM_COLUMNS = ("S", "L", "J", "multiplicity", "method", "lambda_exact", "lambda_float")
+# Command -> (document list, CSV columns); other row keys are not written.
+_CSV_COLUMNS = {
+    "entropy": ("results", ("S", "L", "alpha", "value")),
+    "verify": ("checks", ("suite", "name", "passed", "detail")),
+    "spectrum": ("results", _SPECTRUM_COLUMNS),
+    "sweep": ("results", _SPECTRUM_COLUMNS),
+}
+
+
+def _csv_cell(value):
+    """None is empty, a float has 17 significant digits, a dict is compact sorted JSON."""
+    if value is None:
+        return ""
+    if isinstance(value, float):
+        return f"{value:.17g}"
+    if isinstance(value, dict):
+        import json
+
+        return json.dumps(value, sort_keys=True, separators=(",", ":"))
+    return value
+
+
 def _render_csv(doc: dict, command: str) -> str:
+    """One CSV row per record; a ``counterexample`` column trails when any row has one."""
     import csv
     import io
 
+    key, columns = _CSV_COLUMNS[command]
+    rows = doc[key]
+    if any("counterexample" in row for row in rows):
+        columns += ("counterexample",)
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
-    if command == "entropy":
-        writer.writerow(["S", "L", "alpha", "value"])
-        for row in doc["results"]:
-            writer.writerow(
-                [row["S"], row["L"], f"{row['alpha']:.17g}", f"{row['value']:.17g}"]
-            )
-    elif command == "verify":
-        import json
-
-        # A failing cell's coordinates travel as compact JSON in a trailing
-        # column, present only when some record carries a counterexample.
-        located = any("counterexample" in check for check in doc["checks"])
-        writer.writerow(["suite", "name", "passed", "detail"] + located * ["counterexample"])
-        for check in doc["checks"]:
-            row = [check["suite"], check["name"], check["passed"], check["detail"]]
-            if located:
-                where = check.get("counterexample")
-                row.append(
-                    "" if where is None
-                    else json.dumps(where, sort_keys=True, separators=(",", ":"))
-                )
-            writer.writerow(row)
-    else:
-        writer.writerow(
-            ["S", "L", "J", "multiplicity", "method", "lambda_exact", "lambda_float"]
-        )
-        for row in doc["results"]:
-            writer.writerow(
-                [
-                    row["S"],
-                    row["L"],
-                    "" if row["J"] is None else row["J"],
-                    row["multiplicity"],
-                    row["method"],
-                    row["lambda_exact"] or "",
-                    f"{row['lambda_float']:.17g}",
-                ]
-            )
+    writer.writerow(columns)
+    writer.writerows([_csv_cell(row.get(column)) for column in columns] for row in rows)
     return buffer.getvalue()
 
 

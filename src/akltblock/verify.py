@@ -18,7 +18,6 @@ module and its numpy oracle.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
 from collections.abc import Sequence
 from fractions import Fraction
 from functools import lru_cache
@@ -87,18 +86,22 @@ def match_spectrum(
     states, Lambda(J < S) = 0 at L = 1), has no room for those directions.
     Returns (ok, detail, rows): rows are (J, mean of the claimed values,
     2J+1) sorted by J, then, if values are left unclaimed, one row
-    (None, max |leftover|, leftover count). The unclaimed values are kept
-    sorted, so each claim is found by bisection (:func:`_nearest`).
+    (None, max |leftover|, leftover count), all as Python numbers. The
+    unclaimed values are kept in descending order, equal values in observed
+    order, and each claim is the first ``argmin`` of the distance: a tie
+    goes to the larger value, and among equal values to the first observed.
     """
-    remaining = sorted(observed)
+    remaining = np.array(sorted(observed, reverse=True), dtype=float)
     failure = None
     worst_match = 0.0
     rows = []
     for J, lam in sorted(expected, key=lambda item: -float(item[1])):
         target = float(lam)
         claimed = []
-        while remaining and len(claimed) < 2 * J + 1:
-            claimed.append(remaining.pop(_nearest(remaining, target)))
+        while remaining.size and len(claimed) < 2 * J + 1:
+            i = int(np.argmin(np.abs(remaining - target)))
+            claimed.append(float(remaining[i]))
+            remaining = np.delete(remaining, i)
             deviation = abs(claimed[-1] - target)
             worst_match = max(worst_match, deviation)
             if deviation > tol and failure is None:
@@ -111,32 +114,14 @@ def match_spectrum(
         if claimed:
             rows.append((J, sum(claimed) / len(claimed), 2 * J + 1))
     rows.sort()
-    worst_leftover = max((abs(v) for v in remaining), default=0.0)
-    if remaining:
-        rows.append((None, worst_leftover, len(remaining)))
+    leftover = remaining.tolist()
+    worst_leftover = max(map(abs, leftover), default=0.0)
+    if leftover:
+        rows.append((None, worst_leftover, len(leftover)))
     if worst_leftover > TOL.zero and failure is None:
         failure = f"leftover eigenvalue {worst_leftover:.3e} exceeds {TOL.zero}"
     detail = failure or f"max match dev {worst_match:.3e}, max leftover {worst_leftover:.3e}"
     return failure is None, detail, rows
-
-
-def _nearest(values: list[float], target: float) -> int:
-    """Position in ascending ``values`` of the value closest to ``target``.
-
-    A tie in |value - target| goes to the larger value, and among equal
-    values to the first. The closest value below ``target`` is its lower
-    neighbour. Above it, rounding can give a larger value the same float
-    distance as the upper neighbour, so equal-distance values are stepped
-    over, one run of equal values at a time.
-    """
-    i = bisect_left(values, target)
-    if i == len(values) or (i and target - values[i - 1] < values[i] - target):
-        return bisect_left(values, values[i - 1])
-    best, distance = i, values[i] - target
-    step = bisect_right(values, values[i])
-    while step < len(values) and values[step] - target == distance:
-        best, step = step, bisect_right(values, values[step])
-    return best
 
 
 def label_sectors(

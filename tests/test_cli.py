@@ -403,6 +403,87 @@ def test_failing_verify_csv_names_the_failing_cell(capsys, monkeypatch):
     assert all(row["counterexample"] == "" for row in rows if row["passed"] == "True")
 
 
+def _assert_csv_matches_json(capsys, argv, header, key):
+    """Both formats of one run hold the same records, cell by cell."""
+    json_code, json_out, _ = run_cli(capsys, *argv)
+    csv_code, csv_out, _ = run_cli(capsys, *argv, "--format", "csv")
+    assert json_code == csv_code
+    records = json.loads(json_out)[key]
+    reader = csv.DictReader(io.StringIO(csv_out))
+    rows = list(reader)
+    assert tuple(reader.fieldnames) == header
+    assert len(rows) == len(records)
+    for row, record in zip(rows, records):
+        for column, cell in row.items():
+            value = record.get(column)
+            if value is None:
+                assert cell == ""
+            elif isinstance(value, float):
+                assert float(cell) == value
+            elif isinstance(value, dict):
+                assert cell == json.dumps(value, sort_keys=True, separators=(",", ":"))
+            else:
+                assert cell == str(value)
+    return records
+
+
+_SPECTRUM_HEADER = ("S", "L", "J", "multiplicity", "method", "lambda_exact", "lambda_float")
+
+
+@pytest.mark.parametrize(
+    "argv, header",
+    [
+        (
+            ("spectrum", "--spin", "1", "--length", "1..3",
+             "--method", "recurrence,fock_oracle,pauli_oracle"),
+            _SPECTRUM_HEADER,
+        ),
+        (("sweep", "--spin", "3", "--length", "2..4"), _SPECTRUM_HEADER),
+        (
+            ("entropy", "--spin", "2", "--length", "2..5", "--alpha", "0.5,2"),
+            ("S", "L", "alpha", "value"),
+        ),
+    ],
+)
+def test_csv_rows_match_json_rows(capsys, argv, header):
+    records = _assert_csv_matches_json(capsys, argv, header, "results")
+    if argv[0] == "spectrum":
+        null_modes = [r for r in records if r["method"].endswith("_null_modes")]
+        assert null_modes and all(r["J"] is r["lambda_exact"] is None for r in null_modes)
+
+
+def test_failing_verify_csv_matches_json(capsys, monkeypatch):
+    real = verify._formula_entries
+
+    def shifted(S, L):
+        entries = real(S, L)
+        return [(J, v + Fraction(1, 2)) for J, v in entries] if L == 3 else entries
+
+    monkeypatch.setattr(verify, "_formula_entries", shifted)
+    records = _assert_csv_matches_json(
+        capsys,
+        ("verify", "oracle", "--max-length", "4"),
+        ("suite", "name", "passed", "detail", "counterexample"),
+        "checks",
+    )
+    assert any("counterexample" in r for r in records)
+
+
+def test_oracle_rows_hold_python_numbers():
+    args = cli.build_parser().parse_args(
+        ["spectrum", "--spin", "1", "--length", "2..4", "--method", "fock_oracle,pauli_oracle"]
+    )
+    doc, code = cli.run_spectrum(args)
+    assert code == 0
+    rows = [r for r in doc["results"] if r["method"].startswith(("fock_oracle", "pauli_oracle"))]
+    assert {r["method"] for r in rows} == {
+        "fock_oracle", "pauli_oracle", "fock_oracle_null_modes", "pauli_oracle_null_modes"
+    }
+    for row in rows:
+        assert type(row["lambda_float"]) is float
+        assert type(row["multiplicity"]) is int
+
+
 def test_entropy_spin30_long_sweep_is_fast(capsys):
     start = time.perf_counter()
     code, out, _ = run_cli(capsys, "entropy", "--spin", "30", "--length", "2..300")

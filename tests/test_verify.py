@@ -257,6 +257,33 @@ def test_flat_limit_suite_passes():
     all_passed(suite_flat_limit(max_spin=3, max_length=12))
 
 
+def _spy(monkeypatch, name):
+    """Record the arguments of every call the exact suites make to ``name``."""
+    real = getattr(exact_suites, name)
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(exact_suites, name, spy)
+    return calls
+
+
+def test_conjecture1_suite_visits_its_whole_grid(monkeypatch):
+    calls = _spy(monkeypatch, "block_spectrum")
+    all_passed(suite_conjecture1(max_spin=2, max_length=5))
+    recurrence = [(S, L) for S in (1, 2) for L in range(1, 6)]
+    closed = [(S, L, "closed_form") for S in (1, 2) for L in range(2, 6)]
+    assert sorted(calls) == sorted(recurrence + closed)
+
+
+def test_flat_limit_suite_visits_its_whole_grid(monkeypatch):
+    calls = _spy(monkeypatch, "eigenvalue_recurrence")
+    all_passed(suite_flat_limit(max_spin=2, max_length=6))
+    assert calls == [(S, L, J) for S in (1, 2) for L in range(2, 7) for J in range(S + 1)]
+
+
 def test_run_suite_dispatch():
     checks = run_suite("conjecture1", max_spin=2, max_length=6)
     all_passed(checks)
