@@ -40,7 +40,6 @@ from .hamiltonians import (
     block_hamiltonian,
     null_space,
     pair_projector,
-    spin_matrices,
     unique_hamiltonian,
 )
 from .pauli import (
@@ -79,7 +78,6 @@ __all__ = [
     "linear_combine",
     "states_equal_exact",
     "pair_projector",
-    "spin_matrices",
     "block_hamiltonian",
     "unique_hamiltonian",
     "null_space",

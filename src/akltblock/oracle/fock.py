@@ -135,10 +135,7 @@ class StateVector(namedtuple("StateVector", "spins amps scale_square sector")):
         norm-square; with ``scale_square == 1`` both stay plain integers for
         integer amplitudes.
         """
-        if self.dimension > MAX_STATE_ENTRIES:
-            raise ResourceCapError(
-                f"dense vector of {self.dimension} entries exceeds the cap {MAX_STATE_ENTRIES}"
-            )
+        _require_dense(self.dimension)
         out = np.zeros(self.dimension)
         scale, unscaled = self.scale_square, self.scale_square == 1
         norm_sq = 0
@@ -152,6 +149,13 @@ class StateVector(namedtuple("StateVector", "spins amps scale_square sector")):
                 raise ValueError("cannot normalize the zero state")
             out /= math.sqrt(float(norm_sq * scale))
         return out
+
+
+def _require_dense(entries: int) -> None:
+    if entries > MAX_STATE_ENTRIES:
+        raise ResourceCapError(
+            f"dense vector of {entries} entries exceeds the cap {MAX_STATE_ENTRIES}"
+        )
 
 
 def vacuum(nsites: int) -> StateVector:
@@ -335,7 +339,8 @@ def fock_block_spectrum(
     bulk sites start..start+L-1 and the rest. With F that (block x
     environment) factor, rho = F F^T, and :func:`~.dense.factor_spectrum`
     takes its eigenvalues from F; rho itself is never formed. ``max_dim``
-    caps the block dimension (2S+1)^L before the chain is built.
+    caps the block dimension (2S+1)^L, and ``MAX_STATE_ENTRIES`` the dense
+    chain (S+1)^2 (2S+1)^N, both before the chain is built.
     """
     _check_int("length", L, 1)
     if N is None:
@@ -343,6 +348,7 @@ def fock_block_spectrum(
     _check_int(f"block start for length {L} in N={N}", start, 1, N - L + 1)
     _check_int("bulk spin", S, 1)
     require_dim((2 * S + 1) ** L, max_dim, what="Fock block")
+    _require_dense((S + 1) ** 2 * (2 * S + 1) ** N)
     return factor_spectrum(_block_factor(build_full_vbs(S, N), start, L))
 
 

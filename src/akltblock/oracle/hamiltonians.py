@@ -10,9 +10,10 @@ basis as the state vectors (site 0 fastest).
 The projectors conserve total S^z, so one builder, :func:`_chain_sectors`,
 adds every bond straight into one block per total-magnetization sector and
 no chain-size matrix is formed; :func:`_sector_null_space` diagonalizes
-those blocks one at a time. ``block_hamiltonian`` and ``unique_hamiltonian``
-scatter the blocks into the dense matrix; the verify suite reads the blocks
-themselves. The dimension cap applies to the full chain dimension.
+those blocks one at a time; the verify suite reads only these sectors.
+``block_hamiltonian`` and ``unique_hamiltonian`` scatter the blocks into
+the dense matrix, and ``null_space`` is one dense ``eigh``: the plain
+reference for the sector route. The cap applies to the full chain dimension.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ from .dense import DEFAULT_MAX_DIM, require_dim
 
 __all__ = [
     "pair_projector",
-    "spin_matrices",
     "block_hamiltonian",
     "unique_hamiltonian",
     "null_space",
@@ -70,22 +70,6 @@ def _pair_projector(two_j1: int, two_j2: int, two_jbond: int) -> np.ndarray:
         proj += np.outer(vec, vec)
     proj.setflags(write=False)
     return proj
-
-
-def spin_matrices(two_j: int) -> tuple[np.ndarray, np.ndarray]:
-    """(S_z, S_+) for one site of twice-spin two_j, magnetization ascending.
-
-    S_x, S_y and dot products follow from S_+; everything needed here stays
-    real if contractions pair S_+ with S_- = S_+^T.
-    """
-    _check_int("twice-spin", two_j, 0)
-    d = two_j + 1
-    sz = np.diag([(-two_j + 2 * i) / 2.0 for i in range(d)])
-    sp = np.zeros((d, d))
-    for i in range(d - 1):
-        tm = -two_j + 2 * i
-        sp[i + 1, i] = math.sqrt((two_j - tm) * (two_j + tm + 2)) / 2.0
-    return sz, sp
 
 
 def _coefficients(weights: Sequence[float] | None, count: int, what: str) -> list[float]:
@@ -208,46 +192,20 @@ def unique_hamiltonian(
     return _dense(*_open_chain_sectors(S, N, C, D, max_dim))
 
 
-def _components(mat: np.ndarray) -> list[np.ndarray]:
-    """Index sets of the connected components of ``mat``'s nonzero pattern.
-
-    Each set is ascending and the sets are ordered by their smallest index.
-    Labels start as the indices; every round each index takes the smallest
-    label across its nonzero row and column entries, then labels jump to
-    their label's label until they stop moving. Labels only ever point to
-    a smaller index of the same component, so at the fixed point every
-    component carries its smallest index.
-    """
-    rows, cols = np.nonzero(mat)
-    labels = np.arange(mat.shape[0])
-    while True:
-        hooked = labels.copy()
-        np.minimum.at(hooked, rows, labels[cols])
-        np.minimum.at(hooked, cols, labels[rows])
-        while not np.array_equal(hooked, jumped := hooked[hooked]):
-            hooked = jumped
-        if np.array_equal(hooked, labels):
-            break
-        labels = hooked
-    order = np.argsort(labels, kind="stable")
-    return np.split(order, np.flatnonzero(np.diff(labels[order])) + 1)
-
-
 def _sector_null_space(dim: int, sectors) -> np.ndarray:
     """Orthonormal null-space basis (columns) of a matrix given by (idx, block) pairs.
 
-    The blocks cover disjoint index sets and the matrix is zero outside them.
-    Each block is screened with ``eigvalsh``; ``eigh`` runs only on a block
-    whose lowest eigenvalue is below ``TOL.null_space``. The columns come
-    block by block, in the order of ``sectors``.
+    The blocks are real, cover disjoint index sets and the matrix is zero
+    outside them. Each block is screened with ``eigvalsh``; ``eigh`` runs
+    only on a block whose lowest eigenvalue is below ``TOL.null_space``. The
+    columns come block by block, in the order of ``sectors``.
     """
     found = []
     for idx, block in sectors:
         if np.linalg.eigvalsh(block)[0] < TOL.null_space:
             values, vectors = np.linalg.eigh(block)
             found.append((idx, vectors[:, values < TOL.null_space]))
-    columns = [vectors for _, vectors in found]
-    basis = np.zeros((dim, sum(v.shape[1] for v in columns)), np.result_type(1.0, *columns))
+    basis = np.zeros((dim, sum(vectors.shape[1] for _, vectors in found)))
     col = 0
     for idx, vectors in found:
         basis[idx, col : col + vectors.shape[1]] = vectors
@@ -256,18 +214,14 @@ def _sector_null_space(dim: int, sectors) -> np.ndarray:
 
 
 def null_space(mat: np.ndarray, max_dim: int = DEFAULT_MAX_DIM) -> np.ndarray:
-    """Orthonormal basis (columns) of the numerical null space.
+    """Orthonormal basis (columns) of the numerical null space, from one dense ``eigh``.
 
     Intended for positive semi-definite projector sums, whose spectral gap
     above zero is O(0.1); the cutoff ``TOL.null_space`` sits far inside that
-    gap. Entries outside the connected components of the exact nonzero
-    pattern are zero, so the matrix is block diagonal up to a permutation
-    (projector sums conserve total S^z) and each block is diagonalized on
-    its own; the columns come block by block, in the order of the blocks'
-    smallest indices.
+    gap. This is the plain reference that the sector route,
+    :func:`_sector_null_space` over :func:`_chain_sectors`, is tested against.
     """
     mat = np.asarray(mat)
     require_dim(mat.shape[0], max_dim, what="null-space computation")
-    return _sector_null_space(
-        mat.shape[0], ((idx, mat[np.ix_(idx, idx)]) for idx in _components(mat))
-    )
+    values, vectors = np.linalg.eigh(mat)
+    return vectors[:, values < TOL.null_space]

@@ -487,3 +487,18 @@ def test_refused_fock_block_builds_no_chain(monkeypatch):
     with pytest.raises(ResourceCapError) as excinfo:
         fock_block_spectrum(4, 8)
     assert str(excinfo.value) == "Fock block dimension 43046721 exceeds the cap 4096"
+
+
+def test_over_cap_fock_chain_builds_no_chain(monkeypatch):
+    # A block within --max-dim can still sit in a chain whose dense vector,
+    # (S+1)^2 (2S+1)^N = 4 * 3^16 entries at S = 1, N = 16, is over the cap:
+    # that is refused before the chain state is built, too.
+    from akltblock.oracle import fock
+
+    def build_full_vbs(S, N):
+        raise AssertionError("the chain state was built for a refused chain")
+
+    monkeypatch.setattr(fock, "build_full_vbs", build_full_vbs)
+    with pytest.raises(ResourceCapError) as excinfo:
+        fock_block_spectrum(1, 16, max_dim=10**8)
+    assert str(excinfo.value) == "dense vector of 172186884 entries exceeds the cap 5000000"

@@ -20,17 +20,32 @@ from akltblock.oracle import (
     null_space,
     pair_projector,
     require_hermitian,
-    spin_matrices,
     unique_hamiltonian,
 )
 from akltblock import verify
-from akltblock.oracle.hamiltonians import _block_sectors, _components, _open_chain_sectors
+from akltblock.oracle.hamiltonians import (
+    _block_sectors,
+    _dense,
+    _open_chain_sectors,
+    _sector_null_space,
+)
 
 
 def embed_pair(pair_op: np.ndarray, dims, site: int) -> np.ndarray:
     """Kron reference for a bond term on (site, site+1): I_after (x) pair_op (x) I_before."""
     d_before, d_after = math.prod(dims[:site]), math.prod(dims[site + 2 :])
     return np.kron(np.eye(d_after), np.kron(pair_op, np.eye(d_before)))
+
+
+def spin_matrices(two_j: int) -> tuple[np.ndarray, np.ndarray]:
+    """(S_z, S_+) for one site of twice-spin two_j, magnetization ascending."""
+    d = two_j + 1
+    sz = np.diag([(-two_j + 2 * i) / 2.0 for i in range(d)])
+    sp = np.zeros((d, d))
+    for i in range(d - 1):
+        tm = -two_j + 2 * i
+        sp[i + 1, i] = math.sqrt((two_j - tm) * (two_j + tm + 2)) / 2.0
+    return sz, sp
 
 
 def spin_vector(two_j: int) -> list[np.ndarray]:
@@ -289,24 +304,25 @@ def test_null_space_cutoff():
 
 def test_block_null_space_matches_dense_eigh_on_permuted_blocks():
     # PSD blocks of rank below their size, plus a zero block, scattered by a
-    # random permutation: the kernel projector must equal the one from one
-    # dense eigh of the whole matrix.
+    # random permutation: the kernel projector of the (idx, block) pairs must
+    # equal the one from one dense eigh of the whole matrix.
     rng = np.random.default_rng(7)
     sizes, ranks = (1, 3, 4, 2, 5, 1), (0, 1, 3, 2, 2, 1)
     n = sum(sizes)
+    position = np.argsort(rng.permutation(n))
     mat = np.zeros((n, n))
+    sectors = []
     start = 0
     for size, rank in zip(sizes, ranks):
         factor = rng.normal(size=(size, rank))
-        mat[start : start + size, start : start + size] = factor @ factor.T
+        idx = position[start : start + size]
+        sectors.append((idx, factor @ factor.T))
+        mat[np.ix_(idx, idx)] = sectors[-1][1]
         start += size
-    perm = rng.permutation(n)
-    mat = mat[np.ix_(perm, perm)]
-    assert len(_components(mat)) == len(sizes)
 
     values, vectors = np.linalg.eigh(mat)
     dense = vectors[:, values < 1e-8]
-    kernel = null_space(mat)
+    kernel = _sector_null_space(n, sectors)
     assert kernel.shape == dense.shape == (n, sum(sizes) - sum(ranks))
     assert np.max(np.abs(kernel.T @ kernel - np.eye(kernel.shape[1]))) < 1e-12
     assert np.max(np.abs(kernel @ kernel.T - dense @ dense.T)) < 1e-10
@@ -318,7 +334,7 @@ def test_null_space_of_the_zero_matrix_is_everything():
     assert np.array_equal(kernel @ kernel.T, np.eye(6))
 
 
-def test_fully_coupled_matrix_forms_one_component():
+def test_shuffled_path_laplacian_has_the_constant_null_vector():
     # A path graph visited in shuffled order: every index is coupled to the
     # rest, but only through a chain as long as the matrix.
     n = 40
@@ -327,25 +343,38 @@ def test_fully_coupled_matrix_forms_one_component():
     for a, b in zip(order, order[1:]):
         laplacian[[a, b], [a, b]] += 1.0
         laplacian[a, b] = laplacian[b, a] = -1.0
-    (component,) = _components(laplacian)
-    assert np.array_equal(component, np.arange(n))
     kernel = null_space(laplacian)
     assert kernel.shape == (n, 1)
     assert np.max(np.abs(np.abs(kernel[:, 0]) - 1 / math.sqrt(n))) < 1e-10
 
 
-def test_hamiltonian_build_and_null_space_stay_near_one_matrix():
-    # S=2, N=3: 1125 states. Bonds are summed in place and the null space is
-    # taken block by block, so no full-size temporary is ever allocated.
+def test_hamiltonian_build_stays_near_one_matrix():
+    # S=2, N=3: 1125 states. Bonds are summed into the S^z blocks in place,
+    # so building the dense matrix allocates no second full-size temporary.
     matrix_bytes = 1125**2 * 8
     tracemalloc.start()
     try:
-        kernel = null_space(unique_hamiltonian(2, 3))
+        h = unique_hamiltonian(2, 3)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert kernel.shape == (1125, 1)
+    assert h.shape == (1125, 1125)
     assert peak <= 1.25 * matrix_bytes
+
+
+@pytest.mark.parametrize("S", [1, 2])
+@pytest.mark.parametrize("weighted", [False, True])
+def test_sector_null_space_matches_the_dense_reference(S, weighted):
+    # The chains `verify hamiltonian` reads by default: block chains hold
+    # (S+1)^2 null vectors spread over several S^z sectors, open chains one.
+    C = [1.0 + 0.5 * k for k in range(S)] if weighted else None
+    D = [0.3 + 0.7 * k for k in range(S)] if weighted else None
+    for L in verify._default_hamiltonian_lengths(S):
+        for sectors in (_block_sectors(S, L, C), _open_chain_sectors(S, L, C, D)):
+            kernel = _sector_null_space(*sectors)
+            dense = null_space(_dense(*sectors))
+            assert kernel.shape == dense.shape, (S, L)
+            assert np.max(np.abs(kernel @ kernel.T - dense @ dense.T)) < 1e-10, (S, L)
 
 
 def test_require_hermitian_refuses_non_square_and_non_hermitian_matrices():

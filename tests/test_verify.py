@@ -284,6 +284,20 @@ def test_flat_limit_suite_visits_its_whole_grid(monkeypatch):
     assert calls == [(S, L, J) for S in (1, 2) for L in range(2, 7) for J in range(S + 1)]
 
 
+def test_conjecture1_suite_defaults_to_spins_up_to_five(monkeypatch):
+    calls = _spy(monkeypatch, "block_spectrum")
+    all_passed(suite_conjecture1())
+    recurrence = [(S, L) for S in range(1, 6) for L in range(1, 31)]
+    closed = [(S, L, "closed_form") for S in range(1, 6) for L in range(2, 31)]
+    assert sorted(calls) == sorted(recurrence + closed)
+
+
+def test_flat_limit_suite_defaults_to_spins_up_to_five(monkeypatch):
+    calls = _spy(monkeypatch, "eigenvalue_recurrence")
+    all_passed(suite_flat_limit())
+    assert calls == [(S, L, J) for S in range(1, 6) for L in range(2, 41) for J in range(S + 1)]
+
+
 def test_run_suite_dispatch():
     checks = run_suite("conjecture1", max_spin=2, max_length=6)
     all_passed(checks)
