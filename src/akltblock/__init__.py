@@ -9,7 +9,7 @@ Pauli-string representation. Entropies, saturation bounds, and a CLI sit on
 top.
 """
 
-from .angular import SignedSqrtRational, clebsch_gordan, factorial, three_j_zero, wigner_3j
+from .angular import SignedSqrtRational, clebsch_gordan, factorial, three_j_zero
 from .entropy import InvalidSpectrumError, renyi, von_neumann
 from .spectrum import (
     BlockSpectrum,
@@ -36,7 +36,6 @@ __all__ = [
     "SignedSqrtRational",
     "three_j_zero",
     "clebsch_gordan",
-    "wigner_3j",
     "lambda_coeff",
     "legendre_expansion_residual",
     "IPolynomial",

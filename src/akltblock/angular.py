@@ -29,7 +29,6 @@ __all__ = [
     "SignedSqrtRational",
     "three_j_zero",
     "clebsch_gordan",
-    "wigner_3j",
 ]
 
 
@@ -293,21 +292,3 @@ def clebsch_gordan(
     square = racah * racah * _coupling_prefactor_square(tj1, tj2, tj, tm) * mfacts
     return SignedSqrtRational(1 if racah > 0 else -1, square)
 
-
-def wigner_3j(
-    tj1: int, tj2: int, tj3: int, tm1: int, tm2: int, tm3: int
-) -> SignedSqrtRational:
-    """General Wigner 3j symbol (twice-values), via the phase relation
-
-    (j1 j2 j3; m1 m2 m3) = (-1)^(j1-j2-m3) (J,-m3|j1,m1;j2,m2) / sqrt(2j3+1).
-    """
-    _check_jm(tj1, tm1, "j1")
-    _check_jm(tj2, tm2, "j2")
-    _check_jm(tj3, tm3, "j3")
-    if tm1 + tm2 + tm3 != 0 or not _triangle_ok(tj1, tj2, tj3):
-        return _zero()
-    cg = clebsch_gordan(tj1, tm1, tj2, tm2, tj3, -tm3)
-    if cg.sign == 0:
-        return _zero()
-    phase = -1 if ((tj1 - tj2 - tm3) // 2) % 2 else 1
-    return SignedSqrtRational(phase * cg.sign, cg.square / (tj3 + 1))

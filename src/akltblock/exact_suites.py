@@ -1,19 +1,21 @@
 """The numpy-free verification layer: check records, suites table, exact suites.
 
 ``_Check`` builds every check record, the CLI's agreement records included.
-``suite_conjecture1`` and ``suite_flat_limit`` compare the formula routes
-with each other and with their bounds in exact rationals; they need only
-``spectrum``. ``run_suite`` runs any suite of the ``SUITES`` table: one
-defined here directly, any other (the oracle suites) from ``verify``, which
-is imported only then because it loads the numpy oracle. ``verify``
-re-exports all of these, so ``verify conjecture1`` runs without numpy.
+``suite_conjecture1`` and ``suite_flat_limit`` decide every cell in integers,
+on the unreduced N_J / D of ``spectrum._sector_numerators``, and format
+Fractions only for a counterexample. ``run_suite`` runs any suite of the
+``SUITES`` table: one defined here, any other from ``verify``, imported only
+then because it loads the numpy oracle. ``verify`` re-exports all of these,
+so ``verify conjecture1`` runs without numpy.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import mul
 
-from .spectrum import block_spectrum, eigenvalue_recurrence, flat_limit_bound, lambda_coeff
+from .spectrum import _closed_weights, _recurrence_weights, _sector_numerators
+from .spectrum import flat_limit_bound, lambda_coeff
 
 __all__ = ["SUITES", "run_suite", "suite_conjecture1", "suite_flat_limit"]
 
@@ -23,10 +25,10 @@ class _Check:
 
     ``cell(deviation, tol, **where)`` fails the cell when ``deviation > tol``;
     the ``where`` of the first failing cell becomes the counterexample. A
-    numeric deviation (float or exact Fraction) also feeds ``worst``, the
-    running maximum. A pass/fail cell feeds ``not ok`` against the default
-    tolerance 0 and leaves ``worst`` alone. ``deviation`` and ``tol`` are
-    positional-only because cells may carry a ``deviation`` key of their own.
+    numeric deviation also feeds ``worst``, the running maximum. A pass/fail
+    cell feeds ``not ok`` against the default tolerance 0 and leaves
+    ``worst`` alone. ``deviation`` and ``tol`` are positional-only because
+    cells may carry a ``deviation`` key of their own.
     """
 
     def __init__(self, suite: str, name: str) -> None:
@@ -74,24 +76,28 @@ SUITES = {
 def suite_conjecture1(max_spin: int = 5, max_length: int = 30) -> list[dict]:
     """Exact agreement of the two formula routes, plus the exact trace law.
 
-    One recurrence spectrum per (S, L) cell feeds both checks; from L = 2 it
-    is compared whole with the closed-form spectrum of the same cell.
+    Per S, each route's kernel walks its lengths once. The trace law is
+    sum_J (2J+1) N_J == D; the routes agree when N_J D' == N'_J D.
     """
     checks = []
     trace = _Check("conjecture1", "trace_law")
     for S in range(1, max_spin + 1):
         routes = _Check("conjecture1", f"recurrence_equals_closed_spin{S}")
-        for L in range(1, max_length + 1):
-            spec = block_spectrum(S, L)
-            total = spec.trace()
-            trace.cell(total != 1, S=S, L=L, trace=str(total))
-            if not routes.passed or L < 2:
+        recurrence = _sector_numerators(_recurrence_weights, S, range(1, max_length + 1))
+        closed = _sector_numerators(_closed_weights, S, range(2, max_length + 1))
+        for L, (rec, D) in enumerate(recurrence, 1):
+            total = sum(map(mul, range(1, 2 * S + 2, 2), rec))
+            if trace.passed and total != D:
+                trace.cell(True, S=S, L=L, trace=str(Fraction(total, D)))
+            if L < 2 or not routes.passed:
                 continue
-            closed = block_spectrum(S, L, "closed_form")
-            for (J, rec, _), (_, other, _) in zip(spec.entries, closed.entries):
-                if not routes.cell(
-                    rec != other, S=S, L=L, J=J, recurrence=str(rec), closed_form=str(other)
-                ):
+            others, other = next(closed)
+            if L == 2:  # D'/D is the same at every L: compare on the small L = 2 pair
+                m, m2 = D, other
+            for J, (n, n2) in enumerate(zip(rec, others)):
+                if n * m2 != n2 * m:
+                    routes.cell(True, S=S, L=L, J=J, recurrence=str(Fraction(n, D)),
+                                closed_form=str(Fraction(n2, other)))
                     break
         checks.append(routes.record(f"exact equality over L=2..{max_length}, J=0..{S}"))
     checks.append(
@@ -101,30 +107,23 @@ def suite_conjecture1(max_spin: int = 5, max_length: int = 30) -> list[dict]:
 
 
 def suite_flat_limit(max_spin: int = 5, max_length: int = 40) -> list[dict]:
-    """Exponential approach of Lambda(J) to the flat value 1/(S+1)^2.
+    """Exponential approach of Lambda(J) = N_J / D to the flat value 1/n, n = (S+1)^2.
 
-    K(S,J) is computed once per (S, J) and the damping power |lambda(1,S)|^(L-1)
-    is stepped by one multiply per L; only a failing cell formats its payload.
+    With K(S,J) = k / w and |lambda(1,S)|^(L-1) = p / q, stepped per L, a
+    cell passes when |n N_J - D| / (n D) <= k p / (w q), cross-multiplied.
     """
     check = _Check("conjecture1", "flat_limit_bound")
-
-    def cells():
-        for S in range(1, max_spin + 1):
-            flat = Fraction(1, (S + 1) ** 2)
-            bounds = [flat_limit_bound(S, J) for J in range(S + 1)]
-            damping = abs(lambda_coeff(1, S))
-            power = Fraction(1)
-            for L in range(2, max_length + 1):
-                power *= damping
-                for J, K in enumerate(bounds):
-                    yield S, L, J, flat, K * power
-
-    for S, L, J, flat, bound in cells():
-        deviation = abs(eigenvalue_recurrence(S, L, J) - flat)
-        if deviation > bound:
-            check.cell(deviation, bound, S=S, L=L, J=J, deviation=str(deviation), bound=str(bound))
-            break
-        check.cell(deviation, bound)
+    for S in range(1, max_spin + 1):
+        n, p, q = (S + 1) ** 2, 1, 1
+        dp, dq = abs(lambda_coeff(1, S)).as_integer_ratio()
+        bounds = [flat_limit_bound(S, J).as_integer_ratio() for J in range(S + 1)]
+        kernel = _sector_numerators(_recurrence_weights, S, range(2, max_length + 1))
+        for L, (numerators, D) in enumerate(kernel, 2):
+            p, q = p * dp, q * dq
+            for J, (N, (k, w)) in enumerate(zip(numerators, bounds)):
+                if check.passed and abs(n * N - D) * w * q > k * p * n * D:
+                    deviation, bound = Fraction(abs(n * N - D), n * D), Fraction(k * p, w * q)
+                    check.cell(True, S=S, L=L, J=J, deviation=str(deviation), bound=str(bound))
     return [
         check.record(
             f"|Lambda(J) - 1/(S+1)^2| <= K(S,J) |lambda(1,S)|^(L-1), "

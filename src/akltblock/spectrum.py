@@ -29,7 +29,9 @@ to the next. ``eigenvalue_recurrence`` and ``eigenvalue_closed`` read one
 (S, L) at a time and reduce each N_J / D to a Fraction (one gcd);
 ``entropy._length_weights(S, lengths)`` walks its lengths in one pass,
 checks sign and trace on the unreduced N_J in integers, and divides once
-per sector, with no gcd.
+per sector, with no gcd. ``exact_suites.suite_conjecture1`` and
+``suite_flat_limit`` walk theirs the same way and decide every cell on the
+unreduced N_J and D; only a counterexample becomes a Fraction.
 
 Everything here is exact integer and rational arithmetic; no floats enter
 until entropy evaluation. Norm-squares of the underlying (unnormalized) VBS

@@ -21,15 +21,37 @@ from hypothesis import strategies as st
 from akltblock.angular import (
     TOL,
     SignedSqrtRational,
+    _check_jm,
     _sqrt_exact,
     _tfact,
     _three_j_zero_square,
+    _triangle_ok,
     clebsch_gordan,
     factorial,
     three_j_zero,
-    wigner_3j,
 )
 from akltblock.spectrum import block_spectrum, i_polynomial
+
+
+def wigner_3j(
+    tj1: int, tj2: int, tj3: int, tm1: int, tm2: int, tm3: int
+) -> SignedSqrtRational:
+    """General Wigner 3j symbol (twice-values), the reference for ``three_j_zero``.
+
+    Built from ``clebsch_gordan`` by the phase relation
+
+    (j1 j2 j3; m1 m2 m3) = (-1)^(j1-j2-m3) (J,-m3|j1,m1;j2,m2) / sqrt(2j3+1).
+    """
+    _check_jm(tj1, tm1, "j1")
+    _check_jm(tj2, tm2, "j2")
+    _check_jm(tj3, tm3, "j3")
+    if tm1 + tm2 + tm3 != 0 or not _triangle_ok(tj1, tj2, tj3):
+        return SignedSqrtRational.zero()
+    cg = clebsch_gordan(tj1, tm1, tj2, tm2, tj3, -tm3)
+    if cg.sign == 0:
+        return SignedSqrtRational.zero()
+    phase = -1 if ((tj1 - tj2 - tm3) // 2) % 2 else 1
+    return SignedSqrtRational(phase * cg.sign, cg.square / (tj3 + 1))
 
 
 # ---------------------------------------------------------------------------

@@ -312,6 +312,19 @@ def test_integer_kernel_matches_fraction_reference():
                 assert got == want, (S, L, method)
 
 
+def test_block_spectrum_equals_the_stepped_kernel():
+    # ``verify conjecture1`` decides on the kernel's unreduced N_J / D, while
+    # ``spectrum`` and ``sweep`` print ``block_spectrum``: both read the same values.
+    tables = {"recurrence": _recurrence_weights, "closed_form": _closed_weights}
+    for method, weights in tables.items():
+        for S in range(1, 8):
+            lengths = range(1, 21)
+            for L, (numerators, D) in zip(lengths, _sector_numerators(weights, S, lengths)):
+                spec = block_spectrum(S, L, method)
+                assert [value for _, value, _ in spec.entries] == [Fraction(n, D) for n in numerators]
+                assert spec.trace() == 1, (S, L, method)
+
+
 def test_length_sweep_takes_no_lambda_and_no_fraction_power(monkeypatch):
     # Once a spin's tables exist, every length is integer arithmetic only.
     S = 6

@@ -7,11 +7,16 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from akltblock import exact_suites, verify
+from akltblock import exact_suites, spectrum, verify
 from akltblock.angular import TOL
 from akltblock.oracle import hamiltonians
 from akltblock.oracle import ResourceCapError
-from akltblock.spectrum import BlockSpectrum, block_spectrum
+from akltblock.spectrum import (
+    block_spectrum,
+    eigenvalue_recurrence,
+    flat_limit_bound,
+    lambda_coeff,
+)
 from akltblock.verify import (
     ground_space_projector_gap,
     match_spectrum,
@@ -257,21 +262,32 @@ def test_flat_limit_suite_passes():
     all_passed(suite_flat_limit(max_spin=3, max_length=12))
 
 
-def _spy(monkeypatch, name):
-    """Record the arguments of every call the exact suites make to ``name``."""
-    real = getattr(exact_suites, name)
+def _spy(monkeypatch, sectors=False):
+    """Record each kernel cell the exact suites read: (S, L), tagged by route.
+
+    A closed-form cell is (S, L, "closed_form"); with ``sectors`` every
+    recurrence cell is recorded once per sector, as (S, L, J).
+    """
+    real = exact_suites._sector_numerators
     calls = []
 
-    def spy(*args):
-        calls.append(args)
-        return real(*args)
+    def spy(weights, S, lengths):
+        closed = weights is spectrum._closed_weights
+        for L, cell in zip(lengths, real(weights, S, lengths)):
+            if closed:
+                calls.append((S, L, "closed_form"))
+            elif sectors:
+                calls.extend((S, L, J) for J in range(S + 1))
+            else:
+                calls.append((S, L))
+            yield cell
 
-    monkeypatch.setattr(exact_suites, name, spy)
+    monkeypatch.setattr(exact_suites, "_sector_numerators", spy)
     return calls
 
 
 def test_conjecture1_suite_visits_its_whole_grid(monkeypatch):
-    calls = _spy(monkeypatch, "block_spectrum")
+    calls = _spy(monkeypatch)
     all_passed(suite_conjecture1(max_spin=2, max_length=5))
     recurrence = [(S, L) for S in (1, 2) for L in range(1, 6)]
     closed = [(S, L, "closed_form") for S in (1, 2) for L in range(2, 6)]
@@ -279,13 +295,13 @@ def test_conjecture1_suite_visits_its_whole_grid(monkeypatch):
 
 
 def test_flat_limit_suite_visits_its_whole_grid(monkeypatch):
-    calls = _spy(monkeypatch, "eigenvalue_recurrence")
+    calls = _spy(monkeypatch, sectors=True)
     all_passed(suite_flat_limit(max_spin=2, max_length=6))
     assert calls == [(S, L, J) for S in (1, 2) for L in range(2, 7) for J in range(S + 1)]
 
 
 def test_conjecture1_suite_defaults_to_spins_up_to_five(monkeypatch):
-    calls = _spy(monkeypatch, "block_spectrum")
+    calls = _spy(monkeypatch)
     all_passed(suite_conjecture1())
     recurrence = [(S, L) for S in range(1, 6) for L in range(1, 31)]
     closed = [(S, L, "closed_form") for S in range(1, 6) for L in range(2, 31)]
@@ -293,7 +309,7 @@ def test_conjecture1_suite_defaults_to_spins_up_to_five(monkeypatch):
 
 
 def test_flat_limit_suite_defaults_to_spins_up_to_five(monkeypatch):
-    calls = _spy(monkeypatch, "eigenvalue_recurrence")
+    calls = _spy(monkeypatch, sectors=True)
     all_passed(suite_flat_limit())
     assert calls == [(S, L, J) for S in range(1, 6) for L in range(2, 41) for J in range(S + 1)]
 
@@ -369,31 +385,41 @@ def test_appendix_checks_report_first_counterexample(monkeypatch):
     assert spin["casimir_residual"] == 1.0
 
 
-def _perturbed(real, route, cells):
-    """``block_spectrum`` with the ``route`` value of one sector shifted per cell.
+def _perturbed(real, cells, closed_scale=1):
+    """``_sector_numerators`` with Lambda(J) moved by ``shift`` at each listed cell.
 
-    ``cells`` maps (S, L) to (J, shift).
+    ``cells`` maps (route, S, L) to (J, shift); N_J moves by shift * D, which
+    must be an integer. Every closed-form cell is then written over
+    ``closed_scale`` times its denominator, which changes no value.
     """
 
-    def block_spectrum(S, L, method="recurrence"):
-        spec = real(S, L, method)
-        if method == route and (S, L) in cells:
-            J0, shift = cells[(S, L)]
-            entries = tuple((J, v + shift if J == J0 else v, m) for J, v, m in spec.entries)
-            spec = BlockSpectrum(S=S, L=L, entries=entries, method=method)
-        return spec
+    def kernel(weights, S, lengths):
+        route = "closed_form" if weights is spectrum._closed_weights else "recurrence"
+        scale = closed_scale if route == "closed_form" else 1
+        for L, (numerators, D) in zip(lengths, real(weights, S, lengths)):
+            numerators = list(numerators)
+            if (route, S, L) in cells:
+                J, shift = cells[route, S, L]
+                offset = Fraction(shift) * D
+                assert offset.denominator == 1, (route, S, L)
+                numerators[J] += offset.numerator
+            yield [n * scale for n in numerators], D * scale
 
-    return block_spectrum
+    return kernel
 
 
 def test_conjecture1_checks_report_first_counterexample(monkeypatch):
-    real = exact_suites.block_spectrum
-    closed = _perturbed(
-        real, "closed_form",
-        {(2, 5): (1, Fraction(1, 10**9)), (2, 6): (0, 1), (3, 4): (3, Fraction(-1, 7))},
+    cells = {
+        ("closed_form", 2, 5): (1, Fraction(1, 10**5)),
+        ("closed_form", 2, 6): (0, 1),
+        ("closed_form", 3, 4): (3, Fraction(-1, 7)),
+        ("recurrence", 1, 3): (0, 1),
+        ("recurrence", 1, 5): (1, 1),
+        ("recurrence", 2, 4): (0, 1),
+    }
+    monkeypatch.setattr(
+        exact_suites, "_sector_numerators", _perturbed(exact_suites._sector_numerators, cells)
     )
-    both = _perturbed(closed, "recurrence", {(1, 3): (0, 1), (1, 5): (1, 1), (2, 4): (0, 1)})
-    monkeypatch.setattr(exact_suites, "block_spectrum", both)
     checks = suite_conjecture1(max_spin=3, max_length=6)
     assert list(_counterexample(checks, "recurrence_equals_closed_spin1").items()) == [
         ("S", 1), ("L", 3), ("J", 0), ("recurrence", "11/9"), ("closed_form", "2/9"),
@@ -411,18 +437,127 @@ def test_conjecture1_checks_report_first_counterexample(monkeypatch):
 
 
 def test_flat_limit_reports_first_counterexample(monkeypatch):
-    real = exact_suites.eigenvalue_recurrence
-    shifted = {(2, 7, 1), (2, 8, 0), (3, 3, 0)}
+    shifted = {("recurrence", 2, 7): 1, ("recurrence", 2, 8): 0, ("recurrence", 3, 3): 0}
+    cells = {cell: (J, Fraction(1, 10)) for cell, J in shifted.items()}
     monkeypatch.setattr(
-        exact_suites,
-        "eigenvalue_recurrence",
-        lambda S, L, J: real(S, L, J) + Fraction(1, 10) if (S, L, J) in shifted else real(S, L, J),
+        exact_suites, "_sector_numerators", _perturbed(exact_suites._sector_numerators, cells)
     )
     (record,) = suite_flat_limit(max_spin=3, max_length=10)
     assert not record["passed"]
     assert list(record["counterexample"].items()) == [
         ("S", 2), ("L", 7), ("J", 1), ("deviation", "888281/9000000"), ("bound", "1/576"),
     ]
+
+
+def test_exact_suites_format_only_the_first_failing_cell(monkeypatch):
+    # Every recurrence sector moves by 1, so every cell of every check fails;
+    # each check still builds the Fractions of its counterexample alone.
+    real = exact_suites._sector_numerators
+    built = []
+
+    def counted(*args):
+        built.append(args)
+        return Fraction(*args)
+
+    monkeypatch.setattr(exact_suites, "Fraction", counted)
+    suite_conjecture1(max_spin=3, max_length=6)
+    suite_flat_limit(max_spin=3, max_length=6)
+    assert built == []
+
+    def shifted(weights, S, lengths):
+        for numerators, D in real(weights, S, lengths):
+            if weights is spectrum._recurrence_weights:
+                numerators = [n + D for n in numerators]
+            yield numerators, D
+
+    monkeypatch.setattr(exact_suites, "_sector_numerators", shifted)
+    checks = suite_conjecture1(max_spin=3, max_length=6) + suite_flat_limit(max_spin=3, max_length=6)
+    assert not any(check["passed"] for check in checks)
+    # trace_law: one; each recurrence_equals_closed_spinS: two; flat_limit_bound: two
+    assert len(built) == 1 + 2 * 3 + 2
+
+
+# The Fraction form of the two exact suites: one ``block_spectrum`` or
+# ``eigenvalue_recurrence`` value per cell, compared and formatted as a
+# Fraction. The integer suites must give the same records.
+
+def _reference_conjecture1(max_spin, max_length):
+    checks = []
+    trace = exact_suites._Check("conjecture1", "trace_law")
+    for S in range(1, max_spin + 1):
+        routes = exact_suites._Check("conjecture1", f"recurrence_equals_closed_spin{S}")
+        for L in range(1, max_length + 1):
+            spec = block_spectrum(S, L)
+            total = spec.trace()
+            trace.cell(total != 1, S=S, L=L, trace=str(total))
+            if not routes.passed or L < 2:
+                continue
+            closed = block_spectrum(S, L, "closed_form")
+            for (J, rec, _), (_, other, _) in zip(spec.entries, closed.entries):
+                if not routes.cell(
+                    rec != other, S=S, L=L, J=J, recurrence=str(rec), closed_form=str(other)
+                ):
+                    break
+        checks.append(routes.record(f"exact equality over L=2..{max_length}, J=0..{S}"))
+    checks.append(
+        trace.record(f"sum_J (2J+1) Lambda(J) == 1 exactly, S<={max_spin}, L<={max_length}")
+    )
+    return checks
+
+
+def _reference_flat_limit(max_spin, max_length):
+    check = exact_suites._Check("conjecture1", "flat_limit_bound")
+    for S in range(1, max_spin + 1):
+        flat = Fraction(1, (S + 1) ** 2)
+        damping = abs(lambda_coeff(1, S))
+        for L in range(2, max_length + 1):
+            for J in range(S + 1):
+                deviation = abs(eigenvalue_recurrence(S, L, J) - flat)
+                bound = flat_limit_bound(S, J) * damping ** (L - 1)
+                if deviation > bound and check.passed:
+                    check.cell(deviation, bound, S=S, L=L, J=J, deviation=str(deviation),
+                               bound=str(bound))
+    return [
+        check.record(
+            f"|Lambda(J) - 1/(S+1)^2| <= K(S,J) |lambda(1,S)|^(L-1), "
+            f"S<={max_spin}, L<={max_length} (exact rational comparison)"
+        )
+    ]
+
+
+_SECTORS = st.integers(1, 4).flatmap(lambda S: st.tuples(st.just(S), st.integers(0, S)))
+
+
+@given(
+    route=st.sampled_from(["recurrence", "closed_form"]),
+    sector=_SECTORS,
+    L=st.integers(1, 12),
+    sign=st.sampled_from([1, -1]),
+    whole=st.booleans(),
+    closed_scale=st.sampled_from([1, 2, 7]),
+)
+@example(route="recurrence", sector=(1, 0), L=2, sign=1, whole=False, closed_scale=1)
+@example(route="closed_form", sector=(2, 1), L=3, sign=-1, whole=True, closed_scale=7)
+@settings(deadline=None, max_examples=60)
+def test_integer_suites_match_the_fraction_reference(route, sector, L, sign, whole, closed_scale):
+    # One kernel numerator N_J moves by +-1 or by +-D, and the closed route may
+    # be written over a larger denominator. The integer suites and the Fraction
+    # reference read that one kernel and must give the same records. The first
+    # example moves a spin-1 cell that sits exactly on its flat-limit bound.
+    S, J = sector
+    weights = spectrum._closed_weights if route == "closed_form" else spectrum._recurrence_weights
+    _, D = next(spectrum._sector_numerators(weights, S, (L,)))
+    shift = Fraction(sign, 1 if whole else D)
+    kernel = _perturbed(spectrum._sector_numerators, {(route, S, L): (J, shift)}, closed_scale)
+    spectrum._sector_values.cache_clear()
+    try:
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(spectrum, "_sector_numerators", kernel)
+            patch.setattr(exact_suites, "_sector_numerators", kernel)
+            assert suite_conjecture1(4, 12) == _reference_conjecture1(4, 12)
+            assert suite_flat_limit(4, 12) == _reference_flat_limit(4, 12)
+    finally:
+        spectrum._sector_values.cache_clear()
 
 
 def test_fock_checks_report_first_counterexample(monkeypatch):
