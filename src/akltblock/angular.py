@@ -4,7 +4,8 @@ Spins enter in the twice-integer convention: a (possibly half-integer)
 angular momentum j is passed as the plain integer 2j, and a magnetization m
 as 2m, so every quantum number stays exactly representable. Coefficients are
 returned as :class:`SignedSqrtRational` values, i.e. ``sign * sqrt(square)``
-with a rational ``square``; products and squares of such values are exact.
+with a rational ``square``, so the exact square is kept and the root is taken
+only when a float is formed.
 Phases follow the Condon-Shortley convention (the stretched-state coefficient
 is +1 and lowering never introduces signs).
 
@@ -97,10 +98,10 @@ def _sqrt_exact(q: Fraction) -> Fraction | None:
 class SignedSqrtRational(namedtuple("SignedSqrtRational", "sign square")):
     """Exact value ``sign * sqrt(square)`` with ``square`` a rational >= 0.
 
-    Closed under multiplication; squaring gives back a plain Fraction. It
-    has no addition: the one exact sum this package forms, of Fock states on
-    a shared radical, is done by ``oracle.fock.linear_combine`` on the
-    rational amplitudes.
+    A record, not a number: the coefficient routines read ``sign``,
+    ``square`` and ``float()``. It has no arithmetic; the one exact sum this
+    package forms, of Fock states on a shared radical, is done by
+    ``oracle.fock.linear_combine`` on the rational amplitudes.
     """
 
     __slots__ = ()
@@ -116,31 +117,9 @@ class SignedSqrtRational(namedtuple("SignedSqrtRational", "sign square")):
         return super().__new__(cls, sign, square)
 
     def __add__(self, other):
-        return NotImplemented  # not the inherited tuple concatenation
+        return NotImplemented  # not the inherited tuple concatenation or repetition
 
-    @classmethod
-    def zero(cls) -> "SignedSqrtRational":
-        return cls(0, Fraction(0))
-
-    @classmethod
-    def one(cls) -> "SignedSqrtRational":
-        return cls(1, Fraction(1))
-
-    @classmethod
-    def from_rational(cls, value: Fraction | int) -> "SignedSqrtRational":
-        q = Fraction(value)
-        if q == 0:
-            return cls.zero()
-        return cls(1 if q > 0 else -1, q * q)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = SignedSqrtRational.from_rational(other)
-        elif not isinstance(other, SignedSqrtRational):
-            return NotImplemented
-        return SignedSqrtRational(self.sign * other.sign, self.square * other.square)
-
-    __rmul__ = __mul__
+    __mul__ = __rmul__ = __add__
 
     def __bool__(self) -> bool:
         return self.sign != 0
@@ -160,8 +139,7 @@ def _signed_root(sign: Fraction | int, square: Fraction | int) -> float:
     return root if sign >= 0 else -root
 
 
-def _zero() -> SignedSqrtRational:
-    return SignedSqrtRational.zero()
+_ZERO = SignedSqrtRational(0, 0)
 
 
 def three_j_zero(l1: int, l2: int, l3: int) -> SignedSqrtRational:
@@ -177,7 +155,7 @@ def three_j_zero(l1: int, l2: int, l3: int) -> SignedSqrtRational:
     """
     total = l1 + l2 + l3
     if total % 2 or not abs(l1 - l2) <= l3 <= l1 + l2:
-        return _zero()
+        return _ZERO
     g = total // 2
     under_root = Fraction(
         factorial(2 * g - 2 * l1) * factorial(2 * g - 2 * l2) * factorial(2 * g - 2 * l3),
@@ -282,10 +260,10 @@ def clebsch_gordan(
     _check_jm(tj2, tm2, "j2")
     _check_jm(tj, tm, "J")
     if tm1 + tm2 != tm or not _triangle_ok(tj1, tj2, tj):
-        return _zero()
+        return _ZERO
     racah = _racah_sum(tj1, tm1, tj2, tm2, tj)
     if racah == 0:
-        return _zero()
+        return _ZERO
     mfacts = (
         _tfact(tj1 - tm1) * _tfact(tj1 + tm1) * _tfact(tj2 - tm2) * _tfact(tj2 + tm2)
     )

@@ -5,8 +5,8 @@
 on the unreduced N_J / D of ``spectrum._sector_numerators``, and format
 Fractions only for a counterexample. ``run_suite`` runs any suite of the
 ``SUITES`` table: one defined here, any other from ``verify``, imported only
-then because it loads the numpy oracle. ``verify`` re-exports all of these,
-so ``verify conjecture1`` runs without numpy.
+then because it loads the numpy oracle. The CLI imports ``run_suite`` and
+``SUITES`` from here, so ``verify conjecture1`` runs without numpy.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ __all__ = ["SUITES", "run_suite", "suite_conjecture1", "suite_flat_limit"]
 class _Check:
     """One check record, fed one cell at a time.
 
-    ``cell(deviation, tol, **where)`` fails the cell when ``deviation > tol``;
+    ``cell(deviation, tol, **where)`` fails the cell unless ``deviation <= tol``;
     the ``where`` of the first failing cell becomes the counterexample. A
     numeric deviation also feeds ``worst``, the running maximum. A pass/fail
     cell feeds ``not ok`` against the default tolerance 0 and leaves
@@ -45,7 +45,7 @@ class _Check:
         """Feed one cell; returns whether it is within its tolerance."""
         if not isinstance(deviation, bool):
             self.worst = max(self.worst, deviation)
-        failed = deviation > tol
+        failed = not deviation <= tol  # a NaN deviation fails
         if failed and self.counterexample is None:
             self.counterexample = where
         return not failed

@@ -344,19 +344,8 @@ class BlockSpectrum(namedtuple("BlockSpectrum", "S L entries method")):
     __slots__ = ()
 
     def trace(self) -> Fraction:
-        """Sum of all eigenvalues with multiplicity.
-
-        The entries are summed over the lcm of their denominators, one
-        normalisation instead of a chain of Fraction additions.
-        """
-        common = math.lcm(*(value.denominator for _, value, _ in self.entries))
-        return Fraction(
-            sum(
-                mult * value.numerator * (common // value.denominator)
-                for _, value, mult in self.entries
-            ),
-            common,
-        )
+        """Sum of all eigenvalues with multiplicity."""
+        return sum(mult * value for _, value, mult in self.entries)
 
 
 def block_spectrum(S: int, L: int, method: str = "recurrence") -> BlockSpectrum:

@@ -8,11 +8,30 @@ statement, including the lazy ones inside functions.
 """
 
 import ast
+import importlib
 from pathlib import Path
 
+import pytest
+
 import akltblock
+from akltblock import oracle
 
 PACKAGE = Path(akltblock.__file__).parent
+
+PUBLIC_MODULES = [
+    "akltblock",
+    "akltblock.angular",
+    "akltblock.spectrum",
+    "akltblock.entropy",
+    "akltblock.exact_suites",
+    "akltblock.verify",
+    "akltblock.cli",
+    "akltblock.oracle",
+    "akltblock.oracle.dense",
+    "akltblock.oracle.fock",
+    "akltblock.oracle.hamiltonians",
+    "akltblock.oracle.pauli",
+]
 
 
 def _imports(relative: str) -> list[tuple[str, str | None]]:
@@ -96,3 +115,29 @@ def test_no_module_imports_dataclasses():
     for path in sorted(PACKAGE.rglob("*.py")):
         names = _names(_imports(str(path.relative_to(PACKAGE))))
         assert not _under(names, "dataclasses"), path
+
+
+@pytest.mark.parametrize("name", PUBLIC_MODULES)
+def test_every_public_name_resolves(name):
+    module = importlib.import_module(name)
+    assert len(set(module.__all__)) == len(module.__all__), name
+    assert [n for n in module.__all__ if not hasattr(module, n)] == [], name
+
+
+@pytest.mark.parametrize(
+    "package, submodules",
+    [
+        (akltblock, ("angular", "spectrum", "entropy")),
+        (oracle, ("dense", "fock", "hamiltonians", "pauli")),
+    ],
+)
+def test_package_exports_are_their_submodules_objects(package, submodules):
+    # Each export is the same object in every submodule that holds the name.
+    modules = [importlib.import_module(f"{package.__name__}.{sub}") for sub in submodules]
+    for name in package.__all__:
+        if name == "__version__":
+            continue
+        sources = [module for module in modules if hasattr(module, name)]
+        assert sources, name
+        for module in sources:
+            assert getattr(package, name) is getattr(module, name), (name, module.__name__)

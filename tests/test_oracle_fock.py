@@ -320,7 +320,8 @@ def _index(spins, tms):
 
 def _signed_root_reference(amp, square):
     """The signed-radical composition: sign(amp) |amp| sqrt(square) as one float."""
-    return float(SignedSqrtRational.from_rational(amp) * SignedSqrtRational(1, square))
+    sign = (amp > 0) - (amp < 0)
+    return float(SignedSqrtRational(sign, amp * amp * square))
 
 
 def test_dense_entries_equal_the_signed_radical_composition():

@@ -11,6 +11,7 @@ from akltblock import exact_suites, spectrum, verify
 from akltblock.angular import TOL
 from akltblock.oracle import hamiltonians
 from akltblock.oracle import ResourceCapError
+from akltblock.exact_suites import run_suite, suite_conjecture1, suite_flat_limit
 from akltblock.spectrum import (
     block_spectrum,
     eigenvalue_recurrence,
@@ -20,10 +21,7 @@ from akltblock.spectrum import (
 from akltblock.verify import (
     ground_space_projector_gap,
     match_spectrum,
-    run_suite,
     suite_appendix,
-    suite_conjecture1,
-    suite_flat_limit,
     suite_hamiltonian,
     suite_oracle,
 )
@@ -66,6 +64,18 @@ def test_match_spectrum_flags_missing_eigenvalues():
     ok, detail, _ = match_spectrum([1 / 3], [(0, Fraction(1, 3)), (1, Fraction(2, 9))])
     assert not ok
     assert "ran out" in detail
+
+
+def test_match_spectrum_fails_on_nan():
+    nan = float("nan")
+    ok, detail, _ = match_spectrum([nan], [(0, Fraction(1))])
+    assert not ok and detail == "non-finite observed eigenvalue"
+    # a NaN left over after every sector is served
+    ok, _, _ = match_spectrum([1.0, nan], [(0, Fraction(1))])
+    assert not ok
+    # a NaN target fails its claim
+    ok, detail, _ = match_spectrum([1.0], [(0, nan)])
+    assert not ok and detail.startswith("J=0: expected nan")
 
 
 def test_match_spectrum_zero_sector_may_run_out():
@@ -335,6 +345,14 @@ def test_check_records_are_serializable():
         assert isinstance(record["name"], str)
         assert isinstance(record["passed"], bool)
         assert isinstance(record["detail"], str)
+
+
+def test_check_cell_fails_on_nan():
+    check = exact_suites._Check("s", "n")
+    assert check.cell(0.5e-9, 1e-9, at=0)
+    assert not check.cell(float("nan"), 1e-9, at=1)
+    assert check.counterexample == {"at": 1}
+    assert not check.record("d")["passed"]
 
 
 # ---------------------------------------------------------------------------
