@@ -13,11 +13,20 @@ exactly 1 before any float is formed:
 * ``von_neumann`` / ``renyi`` take a ``BlockSpectrum`` of Fractions and
   check it on every call;
 * ``_length_weights(S, lengths)``, the path of the ``entropy`` command,
-  builds no Fraction: one pass of ``spectrum._sector_numerators`` over the
-  lengths gives Lambda(J) = N_J / D on the recurrence table, with unreduced
-  integers N_J and one denominator D per L, checked in integers at every L.
-  Int true division is correctly rounded, so each float has the bits of the
-  reduced Fraction's float, without its gcd.
+  builds no Fraction and, on a certified length, no N_J either. Once per
+  table it checks the trace law sum_J (2J+1) (M/W_J) n_{J,l} == M delta_{l,0}
+  in integers, which makes the trace exactly 1 at every L. It then holds
+  the weights and the damping powers as fixed-point integers over
+  2^_PRECISION with a proven error bound per sector (Ziv's rounding test,
+  ACM TOMS 17(3), 410, 1991): when both ends of the error interval round to
+  one float, that float is the correctly rounded Lambda(J) and Lambda(J) > 0.
+  A length with any sector left uncertified, such as the exact zeros at
+  L = 1, and every length of a table off the trace law, takes
+  ``_exact_weights``: one pass of ``spectrum._sector_numerators`` gives
+  Lambda(J) = N_J / D with unreduced integers N_J and one denominator D per
+  L, checked for sign and trace in integers. Int true division is correctly
+  rounded, so on either path each float has the bits of the reduced
+  Fraction's float.
 """
 
 from __future__ import annotations
@@ -33,6 +42,13 @@ from .spectrum import BlockSpectrum, _recurrence_weights, _sector_numerators
 __all__ = ["InvalidSpectrumError", "von_neumann", "renyi"]
 
 Weights = tuple[tuple[float, int], ...]
+
+# Bits after the binary point of the fixed-point weights and powers of
+# ``_length_weights``. A sector certifies when Lambda(J) is well above
+# 2^(53 - _PRECISION); the smallest Lambda(J), at L = 2, is about 2^(-1.3 S).
+# Every L = 2..300 certifies at S = 30, 60 and 100; at S = 200 only L = 2
+# and 3 take the exact path, where it is cheap.
+_PRECISION = 256
 
 
 class InvalidSpectrumError(ValueError):
@@ -58,14 +74,25 @@ def _weights(spec: BlockSpectrum) -> Weights:
     return tuple(weights)
 
 
-def _length_weights(S: int, lengths):
-    """Yield the (Lambda(J), 2J+1) floats of each L of a sequence, checked in integers.
+def _obeys_trace_law(rows) -> bool:
+    """Whether sum_J (2J+1) (M/W_J) n_{J,l} == M delta_{l,0} for every l, M = lcm_J W_J.
+
+    Then sum_J (2J+1) N_J = a_0^(L-1) M = D at every L: the trace of every
+    length is exactly 1.
+    """
+    common = math.lcm(*(w for _, w in rows))
+    scales = [(2 * J + 1) * (common // w) for J, (_, w) in enumerate(rows)]
+    totals = [sum(map(mul, scales, column)) for column in zip(*(row for row, _ in rows))]
+    return totals[0] == common and not any(totals[1:])
+
+
+def _exact_weights(S: int, lengths):
+    """Yield the (Lambda(J), 2J+1) floats of each L from exact integers, checked at every L.
 
     Lambda(J) = N_J / D from ``_sector_numerators`` on the rows of
     ``_recurrence_weights(S)``, left unreduced. At every L each N_J must be
     non-negative and sum_J (2J+1) N_J must equal D, the trace exactly 1.
     """
-    _check_int("bulk spin", S, 1)
     multiplicities = range(1, 2 * S + 2, 2)
     for L, (numerators, denominator) in zip(
         lengths, _sector_numerators(_recurrence_weights, S, lengths)
@@ -78,6 +105,63 @@ def _length_weights(S: int, lengths):
         yield tuple(
             (numerator / denominator, mult) for numerator, mult in zip(numerators, multiplicities)
         )
+
+
+def _length_weights(S: int, lengths):
+    """Yield the (Lambda(J), 2J+1) floats of each L of a sequence, each one certified.
+
+    When the table obeys the trace law, every weight n_{J,l}/W_J and every
+    power lambda(l,S)^(L-1) is held as a floor-rounded integer over
+    2^_PRECISION, and the powers are stepped from one length to the next with
+    one floor division each. Each step adds at most one unit to a power's
+    error, so over ``steps`` divisions since the last start from scratch
+    the dot product v_J is within
+    E_J = (steps A_J + S + 2) 2^_PRECISION of Lambda(J) 2^(2 _PRECISION),
+    A_J = ceil(sum_l |n_{J,l}| / W_J). When v_J - E_J > 0 and
+    float(v_J - E_J) == float(v_J + E_J), Lambda(J) > 0 and that float times
+    2^(-2 _PRECISION) is the correctly rounded N_J / D: int-to-float
+    conversion is correctly rounded, and scaling by a power of two far
+    above the subnormals is exact. A length with any sector left
+    uncertified, and every length of a table that breaks the trace law,
+    takes ``_exact_weights``.
+    """
+    _check_int("bulk spin", S, 1)
+    rows = _recurrence_weights(S)
+    if not _obeys_trace_law(rows):
+        yield from _exact_weights(S, lengths)
+        return
+    precision = _PRECISION
+    scale, slack = 2.0 ** (-2 * precision), (S + 2) << precision
+    fixed = [
+        ([(n << precision) // w for n in row], -(-sum(map(abs, row)) // w) << precision, mult)
+        for (row, w), mult in zip(rows, range(1, 2 * S + 2, 2))
+    ]
+    n = 2 * S + 1
+    bases = [(-1) ** l * math.comb(n, S - l) for l in range(S + 1)]
+    previous = math.inf  # the first length starts from scratch
+    for L in lengths:
+        _check_int("length", L, 1)
+        if L < previous:
+            divisor, steps = bases[0] ** (L - 1), 1
+            powers = [(b ** (L - 1) << precision) // divisor for b in bases]
+        else:
+            divisor, steps = bases[0] ** (L - previous), steps + 1
+            powers = [p * b ** (L - previous) // divisor for p, b in zip(powers, bases)]
+        previous = L
+        weights = []
+        for row, bound, mult in fixed:
+            value = sum(map(mul, row, powers))
+            error = steps * bound + slack
+            if value <= error:
+                break
+            low = float(value - error)
+            if low != float(value + error):
+                break
+            weights.append((low * scale, mult))
+        else:
+            yield tuple(weights)
+            continue
+        yield next(_exact_weights(S, (L,)))
 
 
 def _entropy(weights: Weights, alpha: float) -> float:

@@ -11,6 +11,7 @@ then because it loads the numpy oracle. The CLI imports ``run_suite`` and
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from operator import mul
 
@@ -25,10 +26,11 @@ class _Check:
 
     ``cell(deviation, tol, **where)`` fails the cell unless ``deviation <= tol``;
     the ``where`` of the first failing cell becomes the counterexample. A
-    numeric deviation also feeds ``worst``, the running maximum. A pass/fail
-    cell feeds ``not ok`` against the default tolerance 0 and leaves
-    ``worst`` alone. ``deviation`` and ``tol`` are positional-only because
-    cells may carry a ``deviation`` key of their own.
+    numeric deviation also feeds ``worst``, the running maximum; a NaN
+    deviation makes ``worst`` NaN for good. A pass/fail cell feeds ``not ok``
+    against the default tolerance 0 and leaves ``worst`` alone.
+    ``deviation`` and ``tol`` are positional-only because cells may carry a
+    ``deviation`` key of their own.
     """
 
     def __init__(self, suite: str, name: str) -> None:
@@ -43,8 +45,8 @@ class _Check:
 
     def cell(self, deviation, tol=0, /, **where) -> bool:
         """Feed one cell; returns whether it is within its tolerance."""
-        if not isinstance(deviation, bool):
-            self.worst = max(self.worst, deviation)
+        if not (isinstance(deviation, bool) or deviation <= self.worst or math.isnan(self.worst)):
+            self.worst = deviation
         failed = not deviation <= tol  # a NaN deviation fails
         if failed and self.counterexample is None:
             self.counterexample = where

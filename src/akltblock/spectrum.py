@@ -27,7 +27,11 @@ denominator M = lcm_J W_J, every sector of one L then shares
 one integer dot product per sector, with the powers stepped from one length
 to the next. ``eigenvalue_recurrence`` and ``eigenvalue_closed`` read one
 (S, L) at a time and reduce each N_J / D to a Fraction (one gcd);
-``entropy._length_weights(S, lengths)`` walks its lengths in one pass,
+``entropy._length_weights(S, lengths)`` reads the recurrence table
+directly: it checks the table's trace law once, holds weights and powers
+as fixed-point integers with a proven error bound, and keeps a float only
+when the bound certifies its rounding. A length it cannot certify, and
+every length of a table off the trace law, walks this kernel instead,
 checks sign and trace on the unreduced N_J in integers, and divides once
 per sector, with no gcd. ``exact_suites.suite_conjecture1`` and
 ``suite_flat_limit`` walk theirs the same way and decide every cell on the
@@ -193,11 +197,18 @@ def _closed_weights(S: int) -> tuple[tuple[tuple[int, ...], int], ...]:
     so every entry of row J is one integer sum over one denominator, and l
     runs over the triangle |l1-lL|..l1+lL (capped at J) in steps of 2 only.
     """
-
-    @lru_cache(maxsize=None)
-    def square(l1: int, lL: int, l: int) -> int:  # shared by every row J
-        return _three_j_zero_square(l1, lL, l, S)
-
+    # squares[l1][lL] lists the squares at l = |l1-lL|, +2, ..., min(l1+lL, S-lL):
+    # every l that a row J <= S-lL reaches, shared by every row
+    squares = [
+        [
+            [
+                _three_j_zero_square(l1, lL, l, S)
+                for l in range(abs(l1 - lL), min(l1 + lL, S - lL) + 1, 2)
+            ]
+            for lL in range(S + 1)
+        ]
+        for l1 in range(S + 1)
+    ]
     rows = []
     for J in range(S + 1):
         K = S - J
@@ -212,10 +223,7 @@ def _closed_weights(S: int) -> tuple[tuple[tuple[int, ...], int], ...]:
         for l1 in range(S + 1):
             total = 0
             for lL, a in enumerate(outer):
-                total += a * sum(
-                    inner[l] * square(l1, lL, l)
-                    for l in range(abs(l1 - lL), min(l1 + lL, J) + 1, 2)
-                )
+                total += a * sum(map(mul, inner[abs(l1 - lL)::2], squares[l1][lL]))
             row.append((2 * l1 + 1) * numerator * total)
         rows.append(_lowest_terms(row, denominator))
     return tuple(rows)

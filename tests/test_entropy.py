@@ -129,16 +129,34 @@ def test_renyi_large_order_matches_exact_power_sum(S, L, alpha):
     assert renyi(spec, alpha) == pytest.approx(expected, rel=1e-14)
 
 
+def _spy_exact(monkeypatch):
+    """Record the lengths of every call to the exact routine."""
+    calls = []
+    exact = entropy._exact_weights
+
+    def spy(S, lengths):
+        calls.append(tuple(lengths))
+        return exact(S, lengths)
+
+    monkeypatch.setattr(entropy, "_exact_weights", spy)
+    return calls
+
+
 def _rounded_spectrum(S, L):
     return tuple((float(value), mult) for _, value, mult in block_spectrum(S, L).entries)
 
 
 @pytest.mark.parametrize("S", range(1, 13))
-def test_length_weights_are_the_exact_spectrum_rounded(S):
-    # int true division of the unreduced numerator rounds like float(Fraction),
-    # one length at a time and stepped across gaps, repeats and descents
-    for lengths in ((1, 2, 3, 7, 50, 201), (1, 2, 3, 7, 7, 50, 49, 201), (201, 3, 1)):
+def test_length_weights_are_the_exact_spectrum_rounded(monkeypatch, S):
+    # certified and exact floats alike round like float(Fraction), one length
+    # at a time and stepped over L = 1..300 and across gaps, repeats and
+    # descents; only L = 1, where S of the sectors are exactly 0, goes exact
+    calls = _spy_exact(monkeypatch)
+    patterns = (range(1, 301), (1, 2, 3, 7, 50, 201), (1, 2, 3, 7, 7, 50, 49, 201), (201, 3, 1))
+    for lengths in patterns:
+        calls.clear()
         assert list(_length_weights(S, lengths)) == [_rounded_spectrum(S, L) for L in lengths]
+        assert calls == [(1,)] * lengths.count(1)
     for L in (1, 2, 3, 7, 50, 201):
         assert list(_length_weights(S, (L,))) == [_rounded_spectrum(S, L)], L
 
@@ -157,6 +175,25 @@ def test_length_weights_check_their_arguments():
         with pytest.raises(ValueError):
             list(_length_weights(S, lengths))
     assert list(_length_weights(2, ())) == []
+
+
+def test_zero_eigenvalues_at_one_site_take_the_exact_path(monkeypatch):
+    calls = _spy_exact(monkeypatch)
+    (weights,) = _length_weights(4, (1,))
+    assert [value for value, _ in weights].count(0.0) == 4
+    assert weights == _rounded_spectrum(4, 1)
+    assert calls == [(1,)]
+
+
+def test_low_precision_certifies_nothing(monkeypatch):
+    # below 2^26 the ends v - E and v + E are distinct exact floats, so no
+    # cell certifies and every length falls back with unchanged floats
+    lengths = (2, 3, 7, 50, 49, 201)
+    expected = list(_length_weights(5, lengths))
+    monkeypatch.setattr(entropy, "_PRECISION", 8)
+    calls = _spy_exact(monkeypatch)
+    assert list(_length_weights(5, lengths)) == expected
+    assert calls == [(L,) for L in lengths]
 
 
 def _patch_table(monkeypatch, table):
@@ -230,3 +267,27 @@ def test_checks_fire_in_the_middle_of_a_stepped_run(monkeypatch, capsys, shifts,
     captured = capsys.readouterr()
     assert captured.out == ""
     assert message.replace("\\", "") in captured.err
+
+
+@pytest.mark.parametrize(
+    "shifts, obeys_law, calls",
+    [
+        # off the trace law: every length of the run takes the exact routine
+        (((0, 1),), False, [(1, 2, 3, 4, 5)]),
+        # a trace-neutral shift keeps the law; L = 3 fails to certify, as
+        # Lambda(0) < 0 there, and L = 1 has zero sectors
+        (((0, -1), (2, 2)), True, [(1,), (3,)]),
+    ],
+)
+def test_the_trace_law_decides_which_lengths_go_exact(monkeypatch, shifts, obeys_law, calls):
+    rows = list(_recurrence_weights(2))
+    for J, factor in shifts:
+        _shift_row(rows, J, factor)
+    assert entropy._obeys_trace_law(tuple(rows)) is obeys_law
+    _patch_table(monkeypatch, tuple(rows))
+    seen = _spy_exact(monkeypatch)
+    weights = _length_weights(2, range(1, 6))
+    assert [next(weights), next(weights)] == [_rounded_spectrum(2, 1), _rounded_spectrum(2, 2)]
+    with pytest.raises(InvalidSpectrumError, match="at S=2, L=3"):
+        next(weights)
+    assert seen == calls

@@ -1,5 +1,6 @@
 """Tests for the cross-checking suites and the spectrum matcher."""
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -353,6 +354,15 @@ def test_check_cell_fails_on_nan():
     assert not check.cell(float("nan"), 1e-9, at=1)
     assert check.counterexample == {"at": 1}
     assert not check.record("d")["passed"]
+
+
+@pytest.mark.parametrize("deviations, at", [((1e-12, math.nan), 1), ((math.nan, 1e-12), 0)])
+def test_check_worst_stays_nan_after_a_nan_cell(deviations, at):
+    check = exact_suites._Check("s", "n")
+    for where, deviation in enumerate(deviations):
+        check.cell(deviation, 1e-9, at=where)
+    assert math.isnan(check.worst)
+    assert check.counterexample == {"at": at}
 
 
 # ---------------------------------------------------------------------------
