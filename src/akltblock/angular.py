@@ -145,26 +145,18 @@ _ZERO = SignedSqrtRational(0, 0)
 def three_j_zero(l1: int, l2: int, l3: int) -> SignedSqrtRational:
     """Wigner 3j symbol (l1 l2 l3; 0 0 0) for integer orders, exact.
 
-    Nonzero only when l1+l2+l3 = 2g is even and the triangle inequality
-    holds; in that case the value is
+    The zero-projection case of a Clebsch-Gordan coefficient,
 
-        (-1)^g * sqrt[(2g-2l1)!(2g-2l2)!(2g-2l3)!/(2g+1)!]
-               * g!/((g-l1)!(g-l2)!(g-l3)!).
+        (l1 l2 l3; 0 0 0) = (-1)^(l1-l2) <l1 0; l2 0 | l3 0> / sqrt(2 l3 + 1),
 
+    nonzero only when l1+l2+l3 is even and the triangle inequality holds.
     Any invalid triple (including negative orders) yields exact zero.
     """
-    total = l1 + l2 + l3
-    if total % 2 or not abs(l1 - l2) <= l3 <= l1 + l2:
+    if (l1 + l2 + l3) % 2 or not abs(l1 - l2) <= l3 <= l1 + l2:
         return _ZERO
-    g = total // 2
-    under_root = Fraction(
-        factorial(2 * g - 2 * l1) * factorial(2 * g - 2 * l2) * factorial(2 * g - 2 * l3),
-        factorial(2 * g + 1),
-    )
-    rational = Fraction(
-        factorial(g), factorial(g - l1) * factorial(g - l2) * factorial(g - l3)
-    )
-    return SignedSqrtRational(-1 if g % 2 else 1, under_root * rational * rational)
+    cg = clebsch_gordan(2 * l1, 0, 2 * l2, 0, 2 * l3, 0)
+    sign = -cg.sign if (l1 - l2) % 2 else cg.sign
+    return SignedSqrtRational(sign, cg.square / (2 * l3 + 1))
 
 
 def _three_j_zero_square(l1: int, l2: int, l3: int, n: int) -> int:
@@ -178,7 +170,8 @@ def _three_j_zero_square(l1: int, l2: int, l3: int, n: int) -> int:
     an integer whenever g <= n (the bracket is a multinomial coefficient);
     ``ValueError`` for g > n. Off the triangle, at odd l1+l2+l3 or at a
     negative order (which the triangle test excludes) the symbol is zero.
-    ``three_j_zero`` is the reference.
+    ``three_j_zero``, read from the Racah sum of ``clebsch_gordan``, is the
+    reference.
     """
     total = l1 + l2 + l3
     if total % 2 or not abs(l1 - l2) <= l3 <= l1 + l2:

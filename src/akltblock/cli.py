@@ -89,9 +89,7 @@ def run_spectrum(args: argparse.Namespace) -> tuple[dict, int]:
                 checks.append(agreement.record(detail + " (reference: recurrence)"))
     # sorted by (S, L, J, method); S is fixed and null-mode rows come last
     rows.sort(key=lambda row: (row[1], 1 << 30 if row[2] is None else row[2], row[6]))
-    results = [dict(zip(_ROW_FIELDS, row)) for row in rows]
-    passed = all(check["passed"] for check in checks)
-    return _document(args, results, checks), EXIT_OK if passed else EXIT_VERIFY
+    return _document(args, [dict(zip(_ROW_FIELDS, row)) for row in rows], checks)
 
 
 def _exact_text(value) -> str:
@@ -124,7 +122,7 @@ def run_entropy(args: argparse.Namespace) -> tuple[dict, int]:
                 }
             )
     results.sort(key=lambda row: (row["S"], row["L"], row["alpha"]))
-    return _document(args, results, []), EXIT_OK
+    return _document(args, results, [])
 
 
 def run_verify(args: argparse.Namespace) -> tuple[dict, int]:
@@ -137,9 +135,7 @@ def run_verify(args: argparse.Namespace) -> tuple[dict, int]:
         kwargs.setdefault("max_length", max(args.length))
     if kwargs.get("max_length", 2) < 2:
         raise UsageError(f"verify needs a max length of at least 2, got {kwargs['max_length']}")
-    checks = run_suite(args.suite, **kwargs)
-    passed = all(check["passed"] for check in checks)
-    return _document(args, [], checks), EXIT_OK if passed else EXIT_VERIFY
+    return _document(args, [], run_suite(args.suite, **kwargs))
 
 
 def _config_document(args: argparse.Namespace) -> dict:
@@ -165,13 +161,15 @@ def _config_document(args: argparse.Namespace) -> dict:
     return doc
 
 
-def _document(args: argparse.Namespace, results: list, checks: list) -> dict:
-    return {
+def _document(args: argparse.Namespace, results: list, checks: list) -> tuple[dict, int]:
+    """The run's document and its exit code: 1 when any check record failed."""
+    doc = {
         "config": _config_document(args),
         "results": results,
         "checks": checks,
         "version": __version__,
     }
+    return doc, EXIT_OK if all(check["passed"] for check in checks) else EXIT_VERIFY
 
 
 _SCALARS = {str, int, float, bool, type(None)}
@@ -380,15 +378,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
     try:
         doc, code = _DISPATCH[args.command](args)
-    except UsageError as exc:
+    except (ResourceCapError, ValueError) as exc:  # ValueError: UsageError, InvalidSpectrumError
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ResourceCapError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_RESOURCE
-    except ValueError as exc:  # includes InvalidSpectrumError
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return EXIT_RESOURCE if isinstance(exc, ResourceCapError) else EXIT_USAGE
     text = (
         _render_json(doc)
         if args.output_format == "json"

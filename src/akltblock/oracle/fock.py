@@ -40,7 +40,6 @@ from ..angular import (
 from .dense import (
     DEFAULT_MAX_DIM,
     MAX_STATE_ENTRIES,
-    ResourceCapError,
     factor_spectrum,
     require_dim,
 )
@@ -135,7 +134,7 @@ class StateVector(namedtuple("StateVector", "spins amps scale_square sector")):
         norm-square; with ``scale_square == 1`` both stay plain integers for
         integer amplitudes.
         """
-        _require_dense(self.dimension)
+        require_dim(self.dimension, MAX_STATE_ENTRIES, what="dense vector")
         out = np.zeros(self.dimension)
         scale, unscaled = self.scale_square, self.scale_square == 1
         norm_sq = 0
@@ -149,13 +148,6 @@ class StateVector(namedtuple("StateVector", "spins amps scale_square sector")):
                 raise ValueError("cannot normalize the zero state")
             out /= math.sqrt(float(norm_sq * scale))
         return out
-
-
-def _require_dense(entries: int) -> None:
-    if entries > MAX_STATE_ENTRIES:
-        raise ResourceCapError(
-            f"dense vector of {entries} entries exceeds the cap {MAX_STATE_ENTRIES}"
-        )
 
 
 def vacuum(nsites: int) -> StateVector:
@@ -179,10 +171,7 @@ def _apply_pair(state: StateVector, i: int, j: int, terms, bosons: int, scale_sq
             new_key[j] += dj
             new_key = tuple(new_key)
             new_amps[new_key] = new_amps.get(new_key, 0) + coeff * amp
-    if len(new_amps) > MAX_STATE_ENTRIES:
-        raise ResourceCapError(
-            f"amplitude map of {len(new_amps)} entries exceeds the cap {MAX_STATE_ENTRIES}"
-        )
+    require_dim(len(new_amps), MAX_STATE_ENTRIES, what="amplitude map")
     spins = list(state.spins)
     spins[i] += bosons
     spins[j] += bosons
@@ -232,6 +221,8 @@ def _pair_terms(S: int, J: int, M: int):
     monomial pair with that rational coefficient; the common radical of the
     family is returned separately as a prefactor square.
     """
+    _check_int("edge-spin sector J", J, 0, S)
+    _check_int("edge magnetization M", M, -J, J)
     tj, tJ, tM = S, 2 * J, 2 * M
     prefactor_square = _coupling_prefactor_square(tj, tj, tJ, tM)
     terms = []
@@ -248,8 +239,6 @@ def _pair_terms(S: int, J: int, M: int):
 def edge_pair_state(S: int, J: int, M: int) -> StateVector:
     """Normalized two-site state of the boundary pair: |J, M> of two spin-S/2."""
     _check_int("bulk spin", S, 1)
-    _check_int("edge-spin sector J", J, 0, S)
-    _check_int("edge magnetization M", M, -J, J)
     prefactor_square, terms = _pair_terms(S, J, M)
     amps = {(tm1, tm2): rational for tm1, tm2, rational in terms}
     return StateVector(
@@ -274,8 +263,6 @@ def apply_psi_dagger(state: StateVector, J: int, M: int) -> StateVector:
         ts != 2 * S for ts in state.spins[1:-1]
     ):
         raise ValueError("expected a block VBS state with spin-S/2 end sites")
-    _check_int("edge-spin sector J", J, 0, S)
-    _check_int("edge magnetization M", M, -J, J)
     prefactor_square, terms = _pair_terms(S, J, M)
     scale_square = state.scale_square * prefactor_square
     return _apply_pair(state, 0, state.nsites - 1, terms, S, scale_square, sector=(J, M))
@@ -348,7 +335,7 @@ def fock_block_spectrum(
     _check_int(f"block start for length {L} in N={N}", start, 1, N - L + 1)
     _check_int("bulk spin", S, 1)
     require_dim((2 * S + 1) ** L, max_dim, what="Fock block")
-    _require_dense((S + 1) ** 2 * (2 * S + 1) ** N)
+    require_dim((S + 1) ** 2 * (2 * S + 1) ** N, MAX_STATE_ENTRIES, what="dense vector")
     return factor_spectrum(_block_factor(build_full_vbs(S, N), start, L))
 
 

@@ -22,7 +22,6 @@ from ..angular import TOL, _check_int
 from .dense import (
     DEFAULT_MAX_DIM,
     MAX_STATE_ENTRIES,
-    ResourceCapError,
     factor_spectrum,
     require_dim,
 )
@@ -66,8 +65,7 @@ def _string_products(L: int) -> np.ndarray:
     Built one site at a time; the new site multiplies on the left and is the
     slowest index, keeping site 1 fastest.
     """
-    if 3**L > MAX_STATE_ENTRIES:
-        raise ResourceCapError(f"3^{L} Pauli strings exceed the cap {MAX_STATE_ENTRIES}")
+    require_dim(3**L, MAX_STATE_ENTRIES, what=f"3^{L} Pauli strings")
     products = np.eye(2, dtype=complex)[None]
     for _ in range(L):
         products = np.concatenate(

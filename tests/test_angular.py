@@ -160,6 +160,14 @@ def test_three_j_zero_frozen():
     assert three_j_zero(3, 1, 1) == ZERO
 
 
+def test_three_j_zero_sign_is_an_int_below_the_diagonal():
+    # (-1) ** (l1 - l2) would be the float -1.0 or 1.0 whenever l1 < l2.
+    for l2 in range(1, 9):
+        for l1 in range(l2):
+            for l3 in range(l2 - l1, l1 + l2 + 1):
+                assert type(three_j_zero(l1, l2, l3).sign) is int, (l1, l2, l3)
+
+
 def test_three_j_zero_is_exact_zero_at_any_negative_order():
     # The triangle test alone rules out every negative order.
     for orders in itertools.product(range(-4, 5), repeat=3):

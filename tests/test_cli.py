@@ -19,7 +19,7 @@ import pytest
 
 from akltblock import cli, verify
 from akltblock.cli import main
-from akltblock.entropy import renyi
+from akltblock.entropy import InvalidSpectrumError, renyi
 from akltblock.spectrum import BlockSpectrum, block_spectrum, eigenvalue_recurrence, saturation_value
 
 
@@ -282,7 +282,7 @@ def _entropy_document_via_spectra(argv):
                 {"S": args.spin, "L": L, "alpha": alpha, "value": value,
                  "saturation_gap": saturation - value}
             )
-    doc = cli._document(args, results, [])
+    doc, _ = cli._document(args, results, [])
     if args.output_format == "json":
         return cli._render_json(doc)
     return cli._render_csv(doc, "entropy")
@@ -598,6 +598,44 @@ def test_refused_pauli_run_builds_no_string_products(capsys, monkeypatch):
         assert code == 3
         assert out == ""
         assert err == f"error: Pauli block dimension {message}\n"
+
+
+def _refuse_spectrum(S, lengths):
+    raise InvalidSpectrumError(f"exact spectrum at S={S}, L={lengths[0]} has trace other than 1")
+
+
+@pytest.mark.parametrize(
+    "argv, patch, code, message",
+    [
+        (
+            ("spectrum", "--spin", "2", "--method", "pauli_oracle"),
+            None,
+            2,
+            "pauli_oracle supports bulk spin 1 only",
+        ),
+        (
+            ("entropy", "--spin", "3", "--length", "4"),
+            _refuse_spectrum,
+            2,
+            "exact spectrum at S=3, L=4 has trace other than 1",
+        ),
+        (
+            ("spectrum", "--spin", "1", "--length", "7", "--method", "pauli_oracle", "--max-dim", "100"),
+            None,
+            3,
+            "Pauli block dimension 2187 exceeds the cap 100",
+        ),
+    ],
+    ids=["usage", "invalid_spectrum", "resource_cap"],
+)
+def test_run_errors_print_one_line_and_map_to_their_exit_code(
+    capsys, monkeypatch, argv, patch, code, message
+):
+    # UsageError and InvalidSpectrumError are ValueErrors and exit 2; a
+    # ResourceCapError exits 3. Either way stdout stays empty.
+    if patch is not None:
+        monkeypatch.setattr(cli, "_length_weights", patch)
+    assert run_cli(capsys, *argv) == (code, "", f"error: {message}\n")
 
 
 @pytest.mark.parametrize("value", ["0", "-3"])

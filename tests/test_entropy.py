@@ -1,5 +1,6 @@
 """Tests for block entanglement entropies (von Neumann and Renyi)."""
 
+import json
 import math
 from fractions import Fraction
 
@@ -71,6 +72,17 @@ def test_renyi_monotone_in_alpha(S, L):
 def test_entropy_bounded_by_saturation(S, L):
     value = von_neumann(block_spectrum(S, L))
     assert -1e-12 <= value <= saturation_value(S) + 1e-12
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 2")
+def test_entropy_command_stays_below_saturation_and_monotone_in_alpha(capsys):
+    # S = 1, L = 17..20: the alpha = 2 value is rounded above the alpha = 1
+    # value at every L, and saturation_gap is -2.2e-16 at L = 18, 19 and 20.
+    assert main(["entropy", "--spin", "1", "--length", "17..20", "--alpha", "2"]) == 0
+    rows = json.loads(capsys.readouterr().out)["results"]
+    assert all(row["saturation_gap"] >= 0 for row in rows)
+    value = {(row["L"], row["alpha"]): row["value"] for row in rows}
+    assert all(value[L, 2.0] <= value[L, 1.0] for L in range(17, 21))
 
 
 def test_saturation_with_block_size():

@@ -137,6 +137,17 @@ def test_psi_dagger_validates_inputs():
         apply_psi_dagger(vacuum(4), 1, 0)   # not a block-shaped state
 
 
+@pytest.mark.parametrize(
+    "J, M, message",
+    [(2, 0, "edge-spin sector J must be an integer in 0..1"), (1, 2, "edge magnetization M")],
+)
+def test_both_edge_builders_refuse_a_sector_alike(J, M, message):
+    with pytest.raises(ValueError, match=message):
+        edge_pair_state(1, J, M)
+    with pytest.raises(ValueError, match=message):
+        apply_psi_dagger(build_block_vbs(1, 2), J, M)
+
+
 # ---------------------------------------------------------------------------
 # reduced density matrices
 # ---------------------------------------------------------------------------
@@ -502,4 +513,16 @@ def test_over_cap_fock_chain_builds_no_chain(monkeypatch):
     monkeypatch.setattr(fock, "build_full_vbs", build_full_vbs)
     with pytest.raises(ResourceCapError) as excinfo:
         fock_block_spectrum(1, 16, max_dim=10**8)
-    assert str(excinfo.value) == "dense vector of 172186884 entries exceeds the cap 5000000"
+    assert str(excinfo.value) == "dense vector dimension 172186884 exceeds the cap 5000000"
+
+
+def test_amplitude_map_over_cap_is_refused(monkeypatch):
+    # A spin-1 block of L sites has 2^(L-1) monomials, so the second bond of
+    # a three-site block makes a map of four entries.
+    from akltblock.oracle import fock
+
+    monkeypatch.setattr(fock, "MAX_STATE_ENTRIES", 3)
+    assert len(build_block_vbs(1, 2).amps) == 2
+    with pytest.raises(ResourceCapError) as excinfo:
+        build_block_vbs(1, 3)
+    assert str(excinfo.value) == "amplitude map dimension 4 exceeds the cap 3"
