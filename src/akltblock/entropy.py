@@ -14,7 +14,7 @@ exactly 1 before any float is formed:
   check it on every call;
 * ``_length_weights(S, lengths)``, the path of the ``entropy`` command,
   builds no Fraction and, on a certified length, no N_J either. Once per
-  table it checks the trace law sum_J (2J+1) (M/W_J) n_{J,l} == M delta_{l,0}
+  table (T, M) it checks the trace law sum_J (2J+1) T_{J,l} == M delta_{l,0}
   in integers, which makes the trace exactly 1 at every L. It then holds
   the weights and the damping powers as fixed-point integers over
   2^_PRECISION with a proven error bound per sector (Ziv's rounding test,
@@ -37,7 +37,7 @@ from fractions import Fraction
 from operator import mul
 
 from .angular import _check_int
-from .spectrum import BlockSpectrum, _recurrence_weights, _sector_numerators
+from .spectrum import BlockSpectrum, InvalidSpectrumError, _recurrence_weights, _sector_numerators
 
 __all__ = ["InvalidSpectrumError", "von_neumann", "renyi"]
 
@@ -49,10 +49,6 @@ Weights = tuple[tuple[float, int], ...]
 # Every L = 2..300 certifies at S = 30, 60 and 100; at S = 200 only L = 2
 # and 3 take the exact path, where it is cheap.
 _PRECISION = 256
-
-
-class InvalidSpectrumError(ValueError):
-    """The spectrum does not look like a density-matrix spectrum."""
 
 
 def _weights(spec: BlockSpectrum) -> Weights:
@@ -74,22 +70,21 @@ def _weights(spec: BlockSpectrum) -> Weights:
     return tuple(weights)
 
 
-def _obeys_trace_law(rows) -> bool:
-    """Whether sum_J (2J+1) (M/W_J) n_{J,l} == M delta_{l,0} for every l, M = lcm_J W_J.
+def _obeys_trace_law(table) -> bool:
+    """Whether sum_J (2J+1) T_{J,l} == M delta_{l,0} for every l of the table (T, M).
 
     Then sum_J (2J+1) N_J = a_0^(L-1) M = D at every L: the trace of every
     length is exactly 1.
     """
-    common = math.lcm(*(w for _, w in rows))
-    scales = [(2 * J + 1) * (common // w) for J, (_, w) in enumerate(rows)]
-    totals = [sum(map(mul, scales, column)) for column in zip(*(row for row, _ in rows))]
+    rows, common = table
+    totals = [sum(map(mul, range(1, 2 * len(rows), 2), column)) for column in zip(*rows)]
     return totals[0] == common and not any(totals[1:])
 
 
 def _exact_weights(S: int, lengths):
     """Yield the (Lambda(J), 2J+1) floats of each L from exact integers, checked at every L.
 
-    Lambda(J) = N_J / D from ``_sector_numerators`` on the rows of
+    Lambda(J) = N_J / D from ``_sector_numerators`` on the table of
     ``_recurrence_weights(S)``, left unreduced. At every L each N_J must be
     non-negative and sum_J (2J+1) N_J must equal D, the trace exactly 1.
     """
@@ -110,14 +105,14 @@ def _exact_weights(S: int, lengths):
 def _length_weights(S: int, lengths):
     """Yield the (Lambda(J), 2J+1) floats of each L of a sequence, each one certified.
 
-    When the table obeys the trace law, every weight n_{J,l}/W_J and every
+    When the table (T, M) obeys the trace law, every weight T_{J,l}/M and every
     power lambda(l,S)^(L-1) is held as a floor-rounded integer over
     2^_PRECISION, and the powers are stepped from one length to the next with
     one floor division each. Each step adds at most one unit to a power's
     error, so over ``steps`` divisions since the last start from scratch
     the dot product v_J is within
     E_J = (steps A_J + S + 2) 2^_PRECISION of Lambda(J) 2^(2 _PRECISION),
-    A_J = ceil(sum_l |n_{J,l}| / W_J). When v_J - E_J > 0 and
+    A_J = ceil(sum_l |T_{J,l}| / M). When v_J - E_J > 0 and
     float(v_J - E_J) == float(v_J + E_J), Lambda(J) > 0 and that float times
     2^(-2 _PRECISION) is the correctly rounded N_J / D: int-to-float
     conversion is correctly rounded, and scaling by a power of two far
@@ -126,15 +121,16 @@ def _length_weights(S: int, lengths):
     takes ``_exact_weights``.
     """
     _check_int("bulk spin", S, 1)
-    rows = _recurrence_weights(S)
-    if not _obeys_trace_law(rows):
+    table = _recurrence_weights(S)
+    if not _obeys_trace_law(table):
         yield from _exact_weights(S, lengths)
         return
+    rows, common = table
     precision = _PRECISION
     scale, slack = 2.0 ** (-2 * precision), (S + 2) << precision
     fixed = [
-        ([(n << precision) // w for n in row], -(-sum(map(abs, row)) // w) << precision, mult)
-        for (row, w), mult in zip(rows, range(1, 2 * S + 2, 2))
+        ([(t << precision) // common for t in row], -(-sum(map(abs, row)) // common) << precision, mult)
+        for row, mult in zip(rows, range(1, 2 * S + 2, 2))
     ]
     n = 2 * S + 1
     bases = [(-1) ** l * math.comb(n, S - l) for l in range(S + 1)]

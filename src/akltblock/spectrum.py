@@ -16,12 +16,12 @@ tabulated once per S by independent integer builders:
   factorial-only ``angular._three_j_zero_square``).
 
 The routes meet only in one integer kernel, ``_sector_numerators``. Each
-builder returns row J of its table in lowest terms, as integers
-(n_{J,0..S}, W_J) over one denominator, and lambda(l,S) is the ratio
-a_l / C(2S+1,S) with a_l = (-1)^l C(2S+1,S-l). Over the one per-S
-denominator M = lcm_J W_J, every sector of one L then shares
+builder returns its table as one pair (T, M): integer rows T_{J,0..S} over
+one denominator M with c(S,J,l) = T_{J,l} / M, in lowest terms as a whole
+(gcd(M, every T_{J,l}) = 1). With lambda(l,S) = a_l / C(2S+1,S) and
+a_l = (-1)^l C(2S+1,S-l), every sector of one L then shares
 
-    Lambda(J) = N_J / D,   N_J = (M/W_J) sum_l n_{J,l} a_l^(L-1),
+    Lambda(J) = N_J / D,   N_J = sum_l T_{J,l} a_l^(L-1),
                            D = M C(2S+1,S)^(L-1):
 
 one integer dot product per sector, with the powers stepped from one length
@@ -147,46 +147,48 @@ def i_polynomial(l: int, S: int) -> IPolynomial:
     return IPolynomial(S, l, tuple(cur))
 
 
-def _lowest_terms(numerators: list[int], denominator: int) -> tuple[tuple[int, ...], int]:
-    """The row numerators/denominator divided by their one common gcd."""
-    g = math.gcd(denominator, *numerators)
-    return tuple(n // g for n in numerators), denominator // g
+class InvalidSpectrumError(ValueError):
+    """An exact spectrum, or the weight table behind it, breaks a law it must obey."""
 
 
 @lru_cache(maxsize=None)
-def _recurrence_weights(S: int) -> tuple[tuple[tuple[int, ...], int], ...]:
-    """Recurrence-route weights: row J is (n_{J,0..S}, W_J) in lowest terms.
+def _recurrence_weights(S: int) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """Recurrence-route weights as one table (T, M): c(S,J,l) = T_{J,l} / M.
 
-    n_{J,l} / W_J = (2l+1) I_l(x(J)) / (S+1)^2 with x(J) = J(J+1)/2 -
-    (S/2)(S/2+1). The recurrence of ``i_polynomial`` runs on the values
-    I_l(x(J)), not on polynomials: O(S) steps per row. With
-    y = 4x(J) an integer, I_k = N_k / D_k for D_k = prod_{j<k} (j+1)(S+j+2)^2
-    and integers N_0 = 1, N_1 = y,
+    c(S,J,l) = (2l+1) I_l(x(J)) / (S+1)^2 with x(J) = J(J+1)/2 - (S/2)(S/2+1),
+    and M = (2S+1) C(2S,S)^2. The recurrence of ``i_polynomial`` runs, O(S)
+    steps per row, on the integers T_{J,l}: T_{-1} = 0, T_0 = (2S+1) Catalan(S)^2
+    = (2S+1) (C(2S,S) - C(2S,S+1))^2 and, with y = 4x(J) = 2J(J+1) - S(S+2),
 
-        N_{k+1} = (2k+1)(y + k(k+1)) N_k - k^2 (S-k+1)^2 (S+k+1)^2 N_{k-1},
+        T_{k+1} (k+1)(S+k+2)^2 (2k-1) =
+            (2k+3) [(2k-1)(y + k(k+1)) T_k - k (S-k+1)^2 T_{k-1}],
 
-    and D_S is a common denominator of the row.
+    so T_1 = 3 T_0 y / (S+2)^2. Every division must be exact: a remainder
+    raises ``InvalidSpectrumError``, so a false identity cannot pass.
     """
-    norm = (S + 1) ** 2
+    seed = (2 * S + 1) * (math.comb(2 * S, S) - math.comb(2 * S, S + 1)) ** 2
     rows = []
     for J in range(S + 1):
         y = 2 * J * (J + 1) - S * (S + 2)
-        prev, cur, den = 0, 1, norm
-        entries = [(1, norm)]
+        prev, cur, row = 0, seed, [seed]
         for k in range(S):
-            back = (k * (S - k + 1) * (S + k + 1)) ** 2
-            prev, cur = cur, (2 * k + 1) * (y + k * (k + 1)) * cur - back * prev
-            den *= (k + 1) * (S + k + 2) ** 2
-            entries.append(((2 * k + 3) * cur, den))
-        rows.append(_lowest_terms([n * (den // d) for n, d in entries], den))
-    return tuple(rows)
+            step, rest = divmod(
+                (2 * k + 3) * ((2 * k - 1) * (y + k * (k + 1)) * cur - k * (S - k + 1) ** 2 * prev),
+                (k + 1) * (S + k + 2) ** 2 * (2 * k - 1),
+            )
+            if rest:
+                raise InvalidSpectrumError(f"inexact I_l recurrence step at S={S}, J={J}, l={k + 1}")
+            prev, cur = cur, step
+            row.append(cur)
+        rows.append(tuple(row))
+    return tuple(rows), (S + 1) ** 2 * seed
 
 
 @lru_cache(maxsize=None)
-def _closed_weights(S: int) -> tuple[tuple[tuple[int, ...], int], ...]:
-    """Closed-route weights from squared 3j symbols only; row J is (n_{J,l1}, W_J).
+def _closed_weights(S: int) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """Closed-route weights from squared 3j symbols only, as one table (T, M).
 
-    In lowest terms, n_{J,l1} / W_J is prefactor(J) (2l1+1) times
+    c(S,J,l1) = T_{J,l1} / M is prefactor(J) (2l1+1) times
     sum_{lL,l} (2lL+1) lambda(lL,S-J) (2l+1) lambda(l,J)^2 (l1 lL l; 0 0 0)^2,
     summed in integers. With K = S-J,
 
@@ -196,6 +198,7 @@ def _closed_weights(S: int) -> tuple[tuple[tuple[int, ...], int], ...]:
 
     so every entry of row J is one integer sum over one denominator, and l
     runs over the triangle |l1-lL|..l1+lL (capped at J) in steps of 2 only.
+    M is the lcm of the row denominators after one gcd, never the recurrence's M.
     """
     # squares[l1][lL] lists the squares at l = |l1-lL|, +2, ..., min(l1+lL, S-lL):
     # every l that a row J <= S-lL reaches, shared by every row
@@ -225,25 +228,26 @@ def _closed_weights(S: int) -> tuple[tuple[tuple[int, ...], int], ...]:
             for lL, a in enumerate(outer):
                 total += a * sum(map(mul, inner[abs(l1 - lL)::2], squares[l1][lL]))
             row.append((2 * l1 + 1) * numerator * total)
-        rows.append(_lowest_terms(row, denominator))
-    return tuple(rows)
+        rows.append((row, denominator))
+    common = math.lcm(*(d for _, d in rows))
+    rows = [[n * (common // d) for n in row] for row, d in rows]
+    g = math.gcd(common, *(n for row in rows for n in row))
+    return tuple(tuple(n // g for n in row) for row in rows), common // g
 
 
 def _sector_numerators(weights, S: int, lengths):
     """Yield ([N_J for J = 0..S], D) for each L of ``lengths``: Lambda(J) = N_J / D.
 
-    With the rows (n_{J,l}, W_J) of ``weights(S)``, M = lcm_J W_J and
-    a_l = (-1)^l C(2S+1,S-l), so that lambda(l,S) = a_l / C(2S+1,S),
+    With the table (T, M) of ``weights(S)`` and a_l = (-1)^l C(2S+1,S-l),
+    so that lambda(l,S) = a_l / C(2S+1,S),
 
-        N_J = (M/W_J) sum_l n_{J,l} a_l^(L-1),   D = M C(2S+1,S)^(L-1),
+        N_J = sum_l T_{J,l} a_l^(L-1),   D = M C(2S+1,S)^(L-1),
 
     left unreduced. Going up by dL multiplies every power by its base to the
     dL; only the first length, and one below the length before it, take the
     powers from scratch.
     """
-    rows = weights(S)
-    common = math.lcm(*(w for _, w in rows))
-    scaled = [(row, common // w) for row, w in rows]
+    rows, common = weights(S)
     n = 2 * S + 1
     bases = [(-1) ** l * math.comb(n, S - l) for l in range(S + 1)]
     previous = math.inf  # the first length starts from scratch
@@ -254,7 +258,7 @@ def _sector_numerators(weights, S: int, lengths):
         else:
             powers = list(map(mul, powers, [b ** (L - previous) for b in bases]))
         previous = L
-        yield [m * sum(map(mul, row, powers)) for row, m in scaled], common * powers[0]
+        yield [sum(map(mul, row, powers)) for row in rows], common * powers[0]
 
 
 @lru_cache(maxsize=2)
@@ -337,8 +341,8 @@ def flat_limit_bound(S: int, J: int) -> Fraction:
     """
     _check_int("bulk spin", S, 1)
     _check_int("edge-spin sector J", J, 0, S)
-    numerators, common = _recurrence_weights(S)[J]
-    return Fraction(sum(abs(n) for n in numerators[1:]), common)
+    rows, common = _recurrence_weights(S)
+    return Fraction(sum(map(abs, rows[J][1:])), common)
 
 
 class BlockSpectrum(namedtuple("BlockSpectrum", "S L entries method")):

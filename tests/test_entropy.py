@@ -213,10 +213,10 @@ def _patch_table(monkeypatch, table):
 
 
 def test_trace_check_catches_one_bumped_numerator(monkeypatch, capsys):
-    rows = list(_recurrence_weights(3))
-    numerators, common = rows[1]
-    rows[1] = ((numerators[0] + 1, *numerators[1:]), common)
-    _patch_table(monkeypatch, tuple(rows))
+    rows, common = _recurrence_weights(3)
+    rows = list(rows)
+    rows[1] = (rows[1][0] + 1, *rows[1][1:])
+    _patch_table(monkeypatch, (tuple(rows), common))
     for L in (1, 2, 9):
         with pytest.raises(InvalidSpectrumError, match=f"S=3, L={L} has trace other than 1"):
             list(_length_weights(3, (L,)))
@@ -227,49 +227,51 @@ def test_trace_check_catches_one_bumped_numerator(monkeypatch, capsys):
 
 
 def test_sign_check_catches_a_negative_eigenvalue(monkeypatch, capsys):
-    # S = 1, L = 3: Lambda(0) = -4/(4*9) = -1/9 and Lambda(1) = 40/(12*9) =
+    # S = 1, L = 3: Lambda(0) = -12/(12*9) = -1/9 and Lambda(1) = 40/(12*9) =
     # 10/27, so the trace is exactly 1 and only the sign check can object.
-    _patch_table(monkeypatch, (((0, -4), 4), ((0, 40), 12)))
+    _patch_table(monkeypatch, (((0, -12), (0, 40)), 12))
     with pytest.raises(InvalidSpectrumError, match=r"negative exact eigenvalue Lambda\(0\) at S=1, L=3"):
         list(_length_weights(1, (3,)))
     assert main(["entropy", "--spin", "1", "--length", "3"]) == 2
     assert "negative exact eigenvalue" in capsys.readouterr().err
     # a whole real row negated
-    rows = list(_recurrence_weights(2))
-    numerators, common = rows[2]
-    rows[2] = (tuple(-n for n in numerators), common)
-    _patch_table(monkeypatch, tuple(rows))
+    rows, common = _recurrence_weights(2)
+    rows = list(rows)
+    rows[2] = tuple(-t for t in rows[2])
+    _patch_table(monkeypatch, (tuple(rows), common))
     with pytest.raises(InvalidSpectrumError, match=r"negative exact eigenvalue Lambda\(2\) at S=2, L=5"):
         list(_length_weights(2, (5,)))
 
 
-# S = 2 has bases a_l = 10, -5, 1; the numerator vector (2, 3, -5) is
-# orthogonal to their powers at L = 1 and 2 (1, 1, 1 and 10, -5, 1) but not
-# at L = 3 (100, 25, 1), so a table shifted along it first goes wrong at the
-# third length of a run from L = 1, reached by stepping.
+# S = 2 has bases a_l = 10, -5, 1 and M = 180; the numerator vector
+# (2, 3, -5) is orthogonal to their powers at L = 1 and 2 (1, 1, 1 and
+# 10, -5, 1) but not at L = 3 (100, 25, 1), where its dot product is 270, so
+# a table shifted along it first goes wrong at the third length of a run from
+# L = 1, reached by stepping.
 _LATE = (2, 3, -5)
 
 
-def _shift_row(rows, J, factor):
-    numerators, common = rows[J]
-    rows[J] = (tuple(n + factor * d for n, d in zip(numerators, _LATE)), common)
+def _shifted_table(shifts):
+    """The S = 2 recurrence table with row J moved by factor * _LATE per (J, factor)."""
+    rows, common = _recurrence_weights(2)
+    rows = list(rows)
+    for J, factor in shifts:
+        rows[J] = tuple(t + factor * d for t, d in zip(rows[J], _LATE))
+    return tuple(rows), common
 
 
 @pytest.mark.parametrize(
     "shifts, message",
     [
-        # row 0 alone: the trace is 1 at L = 1, 2 and off by 10 * 270 at L = 3
+        # row 0 alone: the trace is 1 at L = 1, 2 and off by 270 / D at L = 3
         (((0, 1),), "exact spectrum at S=2, L=3 has trace other than 1"),
-        # row 0 down and row 2 up in trace-neutral amounts (multipliers 10 and
-        # 5): N_0 at L = 3 is 126 - 270 < 0 while the trace stays exactly 1
-        (((0, -1), (2, 2)), r"negative exact eigenvalue Lambda\(0\) at S=2, L=3"),
+        # row 0 down 5 and row 2 (multiplicity 5) up 1, trace-neutral: N_0 at
+        # L = 3 is 1260 - 5 * 270 = -90 while the trace stays exactly 1
+        (((0, -5), (2, 1)), r"negative exact eigenvalue Lambda\(0\) at S=2, L=3"),
     ],
 )
 def test_checks_fire_in_the_middle_of_a_stepped_run(monkeypatch, capsys, shifts, message):
-    rows = list(_recurrence_weights(2))
-    for J, factor in shifts:
-        _shift_row(rows, J, factor)
-    _patch_table(monkeypatch, tuple(rows))
+    _patch_table(monkeypatch, _shifted_table(shifts))
     weights = _length_weights(2, range(1, 6))
     assert next(weights) == _rounded_spectrum(2, 1)
     assert next(weights) == _rounded_spectrum(2, 2)
@@ -288,15 +290,13 @@ def test_checks_fire_in_the_middle_of_a_stepped_run(monkeypatch, capsys, shifts,
         (((0, 1),), False, [(1, 2, 3, 4, 5)]),
         # a trace-neutral shift keeps the law; L = 3 fails to certify, as
         # Lambda(0) < 0 there, and L = 1 has zero sectors
-        (((0, -1), (2, 2)), True, [(1,), (3,)]),
+        (((0, -5), (2, 1)), True, [(1,), (3,)]),
     ],
 )
 def test_the_trace_law_decides_which_lengths_go_exact(monkeypatch, shifts, obeys_law, calls):
-    rows = list(_recurrence_weights(2))
-    for J, factor in shifts:
-        _shift_row(rows, J, factor)
-    assert entropy._obeys_trace_law(tuple(rows)) is obeys_law
-    _patch_table(monkeypatch, tuple(rows))
+    table = _shifted_table(shifts)
+    assert entropy._obeys_trace_law(table) is obeys_law
+    _patch_table(monkeypatch, table)
     seen = _spy_exact(monkeypatch)
     weights = _length_weights(2, range(1, 6))
     assert [next(weights), next(weights)] == [_rounded_spectrum(2, 1), _rounded_spectrum(2, 2)]

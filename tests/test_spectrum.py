@@ -7,6 +7,7 @@ Lambda_0 = (1 + 3(-1/3)^L)/4, Lambda_1 = (1 - (-1/3)^L)/4.
 """
 
 import math
+import types
 from fractions import Fraction
 
 import pytest
@@ -19,6 +20,7 @@ from akltblock.oracle import fock_block_spectrum
 from akltblock.spectrum import (
     EXACT_METHODS,
     BlockSpectrum,
+    InvalidSpectrumError,
     _closed_weights,
     _recurrence_weights,
     _sector_numerators,
@@ -61,7 +63,7 @@ def test_lambda_ratio_law_exact():
 def _identity_weights(S):
     """A table whose row l picks a_l^(L-1) alone: the kernel's N_l and D are the
     damping powers a_l^(L-1) and C(2S+1,S)^(L-1) themselves."""
-    return tuple((tuple(int(l == j) for l in range(S + 1)), 1) for j in range(S + 1))
+    return tuple(tuple(int(l == j) for l in range(S + 1)) for j in range(S + 1)), 1
 
 
 def _identity_powers(S, lengths):
@@ -209,8 +211,57 @@ def test_routes_agree_exactly(S, L):
 
 
 def _as_fractions(table):
-    """A weight table of integer rows (n_{J,0..S}, W_J) as Fraction rows n/W."""
-    return tuple(tuple(Fraction(n, common) for n in numerators) for numerators, common in table)
+    """A weight table (T, M) of integer rows over one denominator as Fraction rows T/M."""
+    rows, common = table
+    return tuple(tuple(Fraction(t, common) for t in row) for row in rows)
+
+
+def _lowest_terms_rows(S):
+    """The recurrence table as rows (n_{J,0..S}, W_J), each row in lowest terms.
+
+    Runs the I_l recurrence on integers N_k with I_k = N_k / D_k,
+    D_k = prod_{j<k} (j+1)(S+j+2)^2, N_0 = 1 and N_1 = y = 4x(J):
+
+        N_{k+1} = (2k+1)(y + k(k+1)) N_k - k^2 (S-k+1)^2 (S+k+1)^2 N_{k-1},
+
+    puts every entry of row J over D_S (S+1)^2 and reduces the row by its gcd.
+    It knows nothing of the one-denominator law, so it is the reference for it.
+    """
+    rows = []
+    for J in range(S + 1):
+        y = 2 * J * (J + 1) - S * (S + 2)
+        prev, cur, den = 0, 1, (S + 1) ** 2
+        entries = [(1, den)]
+        for k in range(S):
+            back = (k * (S - k + 1) * (S + k + 1)) ** 2
+            prev, cur = cur, (2 * k + 1) * (y + k * (k + 1)) * cur - back * prev
+            den *= (k + 1) * (S + k + 2) ** 2
+            entries.append(((2 * k + 3) * cur, den))
+        numerators = [n * (den // d) for n, d in entries]
+        g = math.gcd(den, *numerators)
+        rows.append((tuple(n // g for n in numerators), den // g))
+    return tuple(rows)
+
+
+def test_recurrence_table_is_the_lowest_terms_rows_over_their_lcm():
+    # One denominator for the whole table: the lcm of the lowest-terms row
+    # denominators, which is (2S+1) C(2S,S)^2 in closed form.
+    for S in [*range(1, 61), 100]:
+        reference = _lowest_terms_rows(S)
+        common = math.lcm(*(w for _, w in reference))
+        assert common == (2 * S + 1) * math.comb(2 * S, S) ** 2, S
+        rescaled = tuple(tuple(n * (common // w) for n in row) for row, w in reference)
+        assert _recurrence_weights(S) == (rescaled, common), S
+
+
+def test_an_inexact_recurrence_step_raises(monkeypatch):
+    # A binomial rounded through a float is off past 2^53, so at S = 40 the seed
+    # T_0 is wrong and some step leaves a remainder; plain floor division
+    # would return a wrong table without a word.
+    floated = types.SimpleNamespace(comb=lambda n, k: int(float(math.comb(n, k))))
+    monkeypatch.setattr(spectrum, "math", floated)
+    with pytest.raises(InvalidSpectrumError, match="inexact I_l recurrence step at S=40"):
+        _recurrence_weights.__wrapped__(40)
 
 
 # The L-independent identities below hold for every length L at once: each
@@ -228,8 +279,8 @@ def test_weight_tables_obey_the_trace_law_for_every_length():
     # at every L, term by term in lambda(l,S)^(L-1).
     for S in range(1, 25):
         for weights in (_recurrence_weights, _closed_weights):
-            for numerators, common in weights(S):  # rows in lowest terms
-                assert common > 0 and math.gcd(common, *numerators) == 1
+            rows, common = weights(S)  # the whole table in lowest terms
+            assert common > 0 and math.gcd(common, *(t for row in rows for t in row)) == 1
             table = _as_fractions(weights(S))
             for l in range(S + 1):
                 assert sum((2 * J + 1) * table[J][l] for J in range(S + 1)) == (l == 0)
