@@ -7,26 +7,24 @@ Renyi:       (1/(1-alpha)) ln sum_J (2J+1) Lambda(J)^alpha for finite
 Exact eigenvalues are converted to floats at the very last step
 (round-to-nearest, relative error below 2^-52 per entry); both entropies
 saturate at 2 ln(S+1) as the block grows. One float routine (``_entropy``)
-serves two exact sources, and each checks non-negativity and a trace of
-exactly 1 before any float is formed:
+serves two exact sources, and both reach floats through one validator,
+``_weights``, or through a certificate that implies what it checks:
 
-* ``von_neumann`` / ``renyi`` take a ``BlockSpectrum`` of Fractions and
-  check it on every call;
+* ``von_neumann`` / ``renyi`` take a ``BlockSpectrum`` of Fractions, and
+  ``_weights`` checks that every entry is non-negative and the trace is
+  exactly 1 before it rounds each entry;
 * ``_length_weights(S, lengths)``, the path of the ``entropy`` command,
-  builds no Fraction and, on a certified length, no N_J either. Once per
-  table (T, M) it checks the trace law sum_J (2J+1) T_{J,l} == M delta_{l,0}
-  in integers, which makes the trace exactly 1 at every L. It then holds
-  the weights and the damping powers as fixed-point integers over
-  2^_PRECISION with a proven error bound per sector (Ziv's rounding test,
-  ACM TOMS 17(3), 410, 1991): when both ends of the error interval round to
-  one float, that float is the correctly rounded Lambda(J) and Lambda(J) > 0.
-  A length with any sector left uncertified, such as the exact zeros at
-  L = 1, and every length of a table off the trace law, takes
-  ``_exact_weights``: one pass of ``spectrum._sector_numerators`` gives
-  Lambda(J) = N_J / D with unreduced integers N_J and one denominator D per
-  L, checked for sign and trace in integers. Int true division is correctly
-  rounded, so on either path each float has the bits of the reduced
-  Fraction's float.
+  builds no Fraction on a certified length. It refuses a table (T, M) off
+  the trace law sum_J (2J+1) T_{J,l} == M delta_{l,0}, checked once in
+  integers, which makes the trace exactly 1 at every L. It then holds the
+  weights and the damping powers of ``spectrum._power_steps`` as
+  fixed-point integers over 2^_PRECISION with a proven error bound per
+  sector (Ziv's rounding test, ACM TOMS 17(3), 410, 1991): when both ends
+  of the error interval round to one float, that float is the correctly
+  rounded Lambda(J) and Lambda(J) > 0. A length with any sector left
+  uncertified, such as the exact zeros at L = 1, yields
+  ``_weights(block_spectrum(S, L))``, so on either path each float has the
+  bits of the exact Fraction's float.
 """
 
 from __future__ import annotations
@@ -37,7 +35,13 @@ from fractions import Fraction
 from operator import mul
 
 from .angular import _check_int
-from .spectrum import BlockSpectrum, InvalidSpectrumError, _recurrence_weights, _sector_numerators
+from .spectrum import (
+    BlockSpectrum,
+    InvalidSpectrumError,
+    _power_steps,
+    _recurrence_weights,
+    block_spectrum,
+)
 
 __all__ = ["InvalidSpectrumError", "von_neumann", "renyi"]
 
@@ -55,18 +59,22 @@ def _weights(spec: BlockSpectrum) -> Weights:
     """Validate the spectrum and return (eigenvalue, multiplicity) floats.
 
     Every entry must be an exact Fraction and non-negative, and the entries
-    must sum to exactly 1.
+    must sum to exactly 1. Each float is the correctly rounded Fraction.
     """
     weights: list[tuple[float, int]] = []
-    for _, value, mult in spec.entries:
+    for J, value, mult in spec.entries:
         if not isinstance(value, Fraction):
             raise InvalidSpectrumError(f"eigenvalue {value!r} is not an exact Fraction")
         if value < 0:
-            raise InvalidSpectrumError(f"negative exact eigenvalue {value}")
+            raise InvalidSpectrumError(
+                f"negative exact eigenvalue {value} of Lambda({J}) at S={spec.S}, L={spec.L}"
+            )
         weights.append((float(value), mult))
     trace = spec.trace()
     if trace != 1:
-        raise InvalidSpectrumError(f"exact spectrum has trace {trace}, expected 1")
+        raise InvalidSpectrumError(
+            f"exact spectrum has trace {trace}, expected 1, at S={spec.S}, L={spec.L}"
+        )
     return tuple(weights)
 
 
@@ -81,50 +89,27 @@ def _obeys_trace_law(table) -> bool:
     return totals[0] == common and not any(totals[1:])
 
 
-def _exact_weights(S: int, lengths):
-    """Yield the (Lambda(J), 2J+1) floats of each L from exact integers, checked at every L.
-
-    Lambda(J) = N_J / D from ``_sector_numerators`` on the table of
-    ``_recurrence_weights(S)``, left unreduced. At every L each N_J must be
-    non-negative and sum_J (2J+1) N_J must equal D, the trace exactly 1.
-    """
-    multiplicities = range(1, 2 * S + 2, 2)
-    for L, (numerators, denominator) in zip(
-        lengths, _sector_numerators(_recurrence_weights, S, lengths)
-    ):
-        for J, numerator in enumerate(numerators):
-            if numerator < 0:
-                raise InvalidSpectrumError(f"negative exact eigenvalue Lambda({J}) at S={S}, L={L}")
-        if sum(map(mul, multiplicities, numerators)) != denominator:
-            raise InvalidSpectrumError(f"exact spectrum at S={S}, L={L} has trace other than 1")
-        yield tuple(
-            (numerator / denominator, mult) for numerator, mult in zip(numerators, multiplicities)
-        )
-
-
 def _length_weights(S: int, lengths):
     """Yield the (Lambda(J), 2J+1) floats of each L of a sequence, each one certified.
 
-    When the table (T, M) obeys the trace law, every weight T_{J,l}/M and every
-    power lambda(l,S)^(L-1) is held as a floor-rounded integer over
-    2^_PRECISION, and the powers are stepped from one length to the next with
-    one floor division each. Each step adds at most one unit to a power's
-    error, so over ``steps`` divisions since the last start from scratch
-    the dot product v_J is within
+    A table (T, M) off the trace law raises before the first length. Every
+    weight T_{J,l}/M and every power lambda(l,S)^(L-1) is held as a
+    floor-rounded integer over 2^_PRECISION, and the powers are stepped
+    from one length to the next with one floor division each. Each step
+    adds at most one unit to a power's error, so over ``steps`` divisions
+    since the last start from scratch the dot product v_J is within
     E_J = (steps A_J + S + 2) 2^_PRECISION of Lambda(J) 2^(2 _PRECISION),
     A_J = ceil(sum_l |T_{J,l}| / M). When v_J - E_J > 0 and
     float(v_J - E_J) == float(v_J + E_J), Lambda(J) > 0 and that float times
     2^(-2 _PRECISION) is the correctly rounded N_J / D: int-to-float
     conversion is correctly rounded, and scaling by a power of two far
     above the subnormals is exact. A length with any sector left
-    uncertified, and every length of a table that breaks the trace law,
-    takes ``_exact_weights``.
+    uncertified yields ``_weights(block_spectrum(S, L))``.
     """
     _check_int("bulk spin", S, 1)
     table = _recurrence_weights(S)
     if not _obeys_trace_law(table):
-        yield from _exact_weights(S, lengths)
-        return
+        raise InvalidSpectrumError(f"recurrence weight table at S={S} breaks the trace law")
     rows, common = table
     precision = _PRECISION
     scale, slack = 2.0 ** (-2 * precision), (S + 2) << precision
@@ -132,18 +117,12 @@ def _length_weights(S: int, lengths):
         ([(t << precision) // common for t in row], -(-sum(map(abs, row)) // common) << precision, mult)
         for row, mult in zip(rows, range(1, 2 * S + 2, 2))
     ]
-    n = 2 * S + 1
-    bases = [(-1) ** l * math.comb(n, S - l) for l in range(S + 1)]
-    previous = math.inf  # the first length starts from scratch
-    for L in lengths:
-        _check_int("length", L, 1)
-        if L < previous:
-            divisor, steps = bases[0] ** (L - 1), 1
-            powers = [(b ** (L - 1) << precision) // divisor for b in bases]
+    for L, (fresh, factors) in zip(lengths, _power_steps(S, lengths)):
+        divisor = factors[0]
+        if fresh:
+            steps, powers = 1, [(f << precision) // divisor for f in factors]
         else:
-            divisor, steps = bases[0] ** (L - previous), steps + 1
-            powers = [p * b ** (L - previous) // divisor for p, b in zip(powers, bases)]
-        previous = L
+            steps, powers = steps + 1, [p * f // divisor for p, f in zip(powers, factors)]
         weights = []
         for row, bound, mult in fixed:
             value = sum(map(mul, row, powers))
@@ -157,7 +136,7 @@ def _length_weights(S: int, lengths):
         else:
             yield tuple(weights)
             continue
-        yield next(_exact_weights(S, (L,)))
+        yield _weights(block_spectrum(S, L))
 
 
 def _entropy(weights: Weights, alpha: float) -> float:

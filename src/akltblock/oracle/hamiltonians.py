@@ -78,8 +78,8 @@ def _coefficients(weights: Sequence[float] | None, count: int, what: str) -> lis
     weights = [float(w) for w in weights]
     if len(weights) != count:
         raise ValueError(f"expected {count} {what} coefficients, got {len(weights)}")
-    if any(w <= 0 for w in weights):
-        raise ValueError(f"{what} coefficients must be positive, got {weights}")
+    if not all(w > 0 and math.isfinite(w) for w in weights):
+        raise ValueError(f"{what} coefficients must be positive and finite, got {weights}")
     return weights
 
 

@@ -24,18 +24,12 @@ a_l = (-1)^l C(2S+1,S-l), every sector of one L then shares
     Lambda(J) = N_J / D,   N_J = sum_l T_{J,l} a_l^(L-1),
                            D = M C(2S+1,S)^(L-1):
 
-one integer dot product per sector, with the powers stepped from one length
-to the next. ``eigenvalue_recurrence`` and ``eigenvalue_closed`` read one
-(S, L) at a time and reduce each N_J / D to a Fraction (one gcd);
-``entropy._length_weights(S, lengths)`` reads the recurrence table
-directly: it checks the table's trace law once, holds weights and powers
-as fixed-point integers with a proven error bound, and keeps a float only
-when the bound certifies its rounding. A length it cannot certify, and
-every length of a table off the trace law, walks this kernel instead,
-checks sign and trace on the unreduced N_J in integers, and divides once
-per sector, with no gcd. ``exact_suites.suite_conjecture1`` and
-``suite_flat_limit`` walk theirs the same way and decide every cell on the
-unreduced N_J and D; only a counterexample becomes a Fraction.
+one integer dot product per sector, with the powers a_l^(L-1) stepped
+from one length to the next by ``_power_steps``. ``eigenvalue_recurrence``
+and ``eigenvalue_closed`` read one (S, L) at a time and reduce each
+N_J / D to a Fraction (one gcd); ``exact_suites`` decides every cell on
+the unreduced N_J and D; ``entropy._length_weights`` reads the powers in
+fixed point.
 
 Everything here is exact integer and rational arithmetic; no floats enter
 until entropy evaluation. Norm-squares of the underlying (unnormalized) VBS
@@ -235,29 +229,38 @@ def _closed_weights(S: int) -> tuple[tuple[tuple[int, ...], ...], int]:
     return tuple(tuple(n // g for n in row) for row in rows), common // g
 
 
-def _sector_numerators(weights, S: int, lengths):
-    """Yield ([N_J for J = 0..S], D) for each L of ``lengths``: Lambda(J) = N_J / D.
+def _power_steps(S: int, lengths):
+    """Yield (fresh, factors) for each L of ``lengths``: how to get a_l^(L-1) for l = 0..S.
 
-    With the table (T, M) of ``weights(S)`` and a_l = (-1)^l C(2S+1,S-l),
-    so that lambda(l,S) = a_l / C(2S+1,S),
-
-        N_J = sum_l T_{J,l} a_l^(L-1),   D = M C(2S+1,S)^(L-1),
-
-    left unreduced. Going up by dL multiplies every power by its base to the
-    dL; only the first length, and one below the length before it, take the
-    powers from scratch.
+    a_l = (-1)^l C(2S+1,S-l), so that lambda(l,S) = a_l / C(2S+1,S). At the
+    first length, and at one below the length before it, ``fresh`` is True
+    and the factors are the powers a_l^(L-1) themselves; going up by dL the
+    factors are a_l^dL, to multiply into the powers of the length before.
     """
-    rows, common = weights(S)
     n = 2 * S + 1
     bases = [(-1) ** l * math.comb(n, S - l) for l in range(S + 1)]
     previous = math.inf  # the first length starts from scratch
     for L in lengths:
         _check_int("length", L, 1)
-        if L < previous:
-            powers = [b ** (L - 1) for b in bases]
-        else:
-            powers = list(map(mul, powers, [b ** (L - previous) for b in bases]))
+        fresh = L < previous
+        exponent = L - 1 if fresh else L - previous
         previous = L
+        yield fresh, [b**exponent for b in bases]
+
+
+def _sector_numerators(weights, S: int, lengths):
+    """Yield ([N_J for J = 0..S], D) for each L of ``lengths``: Lambda(J) = N_J / D.
+
+    With the table (T, M) of ``weights(S)`` and the powers a_l^(L-1) of
+    ``_power_steps``,
+
+        N_J = sum_l T_{J,l} a_l^(L-1),   D = M C(2S+1,S)^(L-1) = M a_0^(L-1),
+
+    left unreduced.
+    """
+    rows, common = weights(S)
+    for fresh, factors in _power_steps(S, lengths):
+        powers = factors if fresh else list(map(mul, powers, factors))
         yield [sum(map(mul, row, powers)) for row in rows], common * powers[0]
 
 

@@ -135,8 +135,14 @@ def _formula_entries(S: int, L: int) -> list[tuple[int, Fraction]]:
     return [(J, eigenvalue_recurrence(S, L, J)) for J in range(S + 1)]
 
 
+def _worst(deviations) -> float:
+    """The largest deviation, NaN if any is NaN: ``max`` drops a NaN that is not first."""
+    return math.nan if any(map(math.isnan, deviations)) else max(deviations, default=0.0)
+
+
 def _spectra_close(a: Sequence[float], b: Sequence[float]) -> float:
-    return max(abs(x - y) for x, y in zip(a, b)) if a else 0.0
+    """Largest entrywise distance of two spectra; inf when their lengths differ."""
+    return _worst([abs(x - y) for x, y in zip(a, b)]) if len(a) == len(b) else math.inf
 
 
 def suite_oracle(
@@ -237,18 +243,14 @@ def _pauli_checks(max_length: int, max_dim: int, fock) -> list[dict]:
         deviations = [
             abs(float(np.vdot(g, g).real) - norm_sq) for g, norm_sq in zip(states, expected)
         ]
-        gram_off = max(
-            abs(np.vdot(states[i], states[j]))
-            for i in range(4)
-            for j in range(4)
-            if i != j
+        deviations.extend(
+            float(abs(np.vdot(states[i], states[j]))) for i in range(4) for j in range(4) if i != j
         )
-        deviations.append(float(gram_off))
         rho = pauli_density_matrix_spin1(L)
         for alpha, g in enumerate(states):
             lam = float(eigenvalue_recurrence(1, L, 0 if alpha == 0 else 1))
             deviations.append(float(np.abs(rho @ g - lam * g).max()))
-        deviation = max(deviations)
+        deviation = _worst(deviations)
         if not ground.cell(deviation, TOL.residual, S=1, L=L, worst=deviation):
             break
     checks.append(
@@ -326,7 +328,7 @@ def suite_hamiltonian(
             total += proj
         deviations.append(float(np.abs(total - np.eye(total.shape[0])).max()))
     # One cell: its counterexample reports the worst deviation over every pair.
-    worst = max(deviations)
+    worst = _worst(deviations)
     algebra = _Check("hamiltonian", "projector_algebra")
     algebra.cell(worst, TOL.roundoff, S=S, worst=worst)
     checks.append(
@@ -345,13 +347,11 @@ def suite_hamiltonian(
         values = np.concatenate([np.linalg.eigvalsh(block) for _, block in sectors])
         dim_null = int(np.count_nonzero(values < TOL.null_space))
         lowest = values.min()
-        residual = max(
-            _sector_residual(sectors, state.to_dense())
-            for state in degenerate_states(S, L).values()
-        )
+        states = degenerate_states(S, L).values()
+        residual = _worst([_sector_residual(sectors, state.to_dense()) for state in states])
         info.append(f"L={L}: null dim {dim_null}, residual {residual:.1e}")
         if not ground.cell(
-            dim_null != (S + 1) ** 2 or residual > TOL.residual or lowest < -TOL.zero,
+            dim_null != (S + 1) ** 2 or not residual <= TOL.residual or not lowest >= -TOL.zero,
             S=S,
             L=L,
             null_dimension=dim_null,
@@ -376,7 +376,9 @@ def suite_hamiltonian(
         overlap = float(np.abs(basis.T @ vbs).max()) if basis.shape[1] else 0.0
         info.append(f"N={N}: null dim {basis.shape[1]}, residual {residual:.1e}")
         if not unique.cell(
-            basis.shape[1] != 1 or residual > TOL.residual or abs(overlap - 1.0) > TOL.residual,
+            basis.shape[1] != 1
+            or not residual <= TOL.residual
+            or not abs(overlap - 1.0) <= TOL.residual,
             S=S,
             N=N,
             null_dimension=basis.shape[1],
@@ -438,8 +440,7 @@ def suite_appendix(max_spin: int = 2) -> list[dict]:
         states = degenerate_states(S, L)
         for (J, M), state in states.items():
             residuals = total_spin_checks(state)
-            residual = max(residuals["sz_residual"], residuals["casimir_residual"])
-            spin.cell(residual, TOL.residual, S=S, L=L, J=J, M=M, **residuals)
+            spin.cell(_worst(residuals.values()), TOL.residual, S=S, L=L, J=J, M=M, **residuals)
         for J in range(1, S + 1):
             for M in range(-J, J):
                 residual = ladder_residual(states[(J, M)], states[(J, M + 1)])

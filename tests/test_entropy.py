@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from akltblock import entropy
+from akltblock import entropy, spectrum
 from akltblock.cli import main
 from akltblock.entropy import InvalidSpectrumError, _length_weights, renyi, von_neumann
 from akltblock.spectrum import BlockSpectrum, _recurrence_weights, block_spectrum, saturation_value
@@ -142,15 +142,15 @@ def test_renyi_large_order_matches_exact_power_sum(S, L, alpha):
 
 
 def _spy_exact(monkeypatch):
-    """Record the lengths of every call to the exact routine."""
+    """Record the length of every call to the exact fallback, ``block_spectrum``."""
     calls = []
-    exact = entropy._exact_weights
+    exact = entropy.block_spectrum
 
-    def spy(S, lengths):
-        calls.append(tuple(lengths))
-        return exact(S, lengths)
+    def spy(S, L):
+        calls.append(L)
+        return exact(S, L)
 
-    monkeypatch.setattr(entropy, "_exact_weights", spy)
+    monkeypatch.setattr(entropy, "block_spectrum", spy)
     return calls
 
 
@@ -168,7 +168,7 @@ def test_length_weights_are_the_exact_spectrum_rounded(monkeypatch, S):
     for lengths in patterns:
         calls.clear()
         assert list(_length_weights(S, lengths)) == [_rounded_spectrum(S, L) for L in lengths]
-        assert calls == [(1,)] * lengths.count(1)
+        assert calls == [1] * lengths.count(1)
     for L in (1, 2, 3, 7, 50, 201):
         assert list(_length_weights(S, (L,))) == [_rounded_spectrum(S, L)], L
 
@@ -194,7 +194,7 @@ def test_zero_eigenvalues_at_one_site_take_the_exact_path(monkeypatch):
     (weights,) = _length_weights(4, (1,))
     assert [value for value, _ in weights].count(0.0) == 4
     assert weights == _rounded_spectrum(4, 1)
-    assert calls == [(1,)]
+    assert calls == [1]
 
 
 def test_low_precision_certifies_nothing(monkeypatch):
@@ -205,11 +205,13 @@ def test_low_precision_certifies_nothing(monkeypatch):
     monkeypatch.setattr(entropy, "_PRECISION", 8)
     calls = _spy_exact(monkeypatch)
     assert list(_length_weights(5, lengths)) == expected
-    assert calls == [(L,) for L in lengths]
+    assert calls == list(lengths)
 
 
 def _patch_table(monkeypatch, table):
+    """Give both the fixed-point path and its exact fallback the same table."""
     monkeypatch.setattr(entropy, "_recurrence_weights", lambda S: table)
+    monkeypatch.setattr(spectrum, "_recurrence_weights", lambda S: table)
 
 
 def test_trace_check_catches_one_bumped_numerator(monkeypatch, capsys):
@@ -218,29 +220,12 @@ def test_trace_check_catches_one_bumped_numerator(monkeypatch, capsys):
     rows[1] = (rows[1][0] + 1, *rows[1][1:])
     _patch_table(monkeypatch, (tuple(rows), common))
     for L in (1, 2, 9):
-        with pytest.raises(InvalidSpectrumError, match=f"S=3, L={L} has trace other than 1"):
-            list(_length_weights(3, (L,)))
+        with pytest.raises(InvalidSpectrumError, match="table at S=3 breaks the trace law"):
+            next(_length_weights(3, (L,)))
     assert main(["entropy", "--spin", "3", "--length", "4"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "S=3, L=4 has trace other than 1" in captured.err
-
-
-def test_sign_check_catches_a_negative_eigenvalue(monkeypatch, capsys):
-    # S = 1, L = 3: Lambda(0) = -12/(12*9) = -1/9 and Lambda(1) = 40/(12*9) =
-    # 10/27, so the trace is exactly 1 and only the sign check can object.
-    _patch_table(monkeypatch, (((0, -12), (0, 40)), 12))
-    with pytest.raises(InvalidSpectrumError, match=r"negative exact eigenvalue Lambda\(0\) at S=1, L=3"):
-        list(_length_weights(1, (3,)))
-    assert main(["entropy", "--spin", "1", "--length", "3"]) == 2
-    assert "negative exact eigenvalue" in capsys.readouterr().err
-    # a whole real row negated
-    rows, common = _recurrence_weights(2)
-    rows = list(rows)
-    rows[2] = tuple(-t for t in rows[2])
-    _patch_table(monkeypatch, (tuple(rows), common))
-    with pytest.raises(InvalidSpectrumError, match=r"negative exact eigenvalue Lambda\(2\) at S=2, L=5"):
-        list(_length_weights(2, (5,)))
+    assert "table at S=3 breaks the trace law" in captured.err
 
 
 # S = 2 has bases a_l = 10, -5, 1 and M = 180; the numerator vector
@@ -249,6 +234,12 @@ def test_sign_check_catches_a_negative_eigenvalue(monkeypatch, capsys):
 # a table shifted along it first goes wrong at the third length of a run from
 # L = 1, reached by stepping.
 _LATE = (2, 3, -5)
+
+# Row 0 down 5 and row 2 (multiplicity 5) up 1 keeps the trace law: N_0 at
+# L = 3 is 1260 - 5 * 270 = -90 over D = 180 * 10^2, so Lambda(0) = -1/200
+# while the trace stays exactly 1 and only the sign check can object.
+_NEUTRAL = ((0, -5), (2, 1))
+_NEGATIVE_AT_3 = r"negative exact eigenvalue -1/200 of Lambda\(0\) at S=2, L=3"
 
 
 def _shifted_table(shifts):
@@ -260,37 +251,69 @@ def _shifted_table(shifts):
     return tuple(rows), common
 
 
-@pytest.mark.parametrize(
-    "shifts, message",
-    [
-        # row 0 alone: the trace is 1 at L = 1, 2 and off by 270 / D at L = 3
-        (((0, 1),), "exact spectrum at S=2, L=3 has trace other than 1"),
-        # row 0 down 5 and row 2 (multiplicity 5) up 1, trace-neutral: N_0 at
-        # L = 3 is 1260 - 5 * 270 = -90 while the trace stays exactly 1
-        (((0, -5), (2, 1)), r"negative exact eigenvalue Lambda\(0\) at S=2, L=3"),
-    ],
-)
-def test_checks_fire_in_the_middle_of_a_stepped_run(monkeypatch, capsys, shifts, message):
-    _patch_table(monkeypatch, _shifted_table(shifts))
+def test_sign_check_catches_a_negative_eigenvalue(monkeypatch, capsys):
+    _patch_table(monkeypatch, _shifted_table(_NEUTRAL))
+    with pytest.raises(InvalidSpectrumError, match=_NEGATIVE_AT_3):
+        list(_length_weights(2, (3,)))
+    assert main(["entropy", "--spin", "2", "--length", "3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert _NEGATIVE_AT_3.replace("\\", "") in captured.err
+
+
+def test_checks_fire_in_the_middle_of_a_stepped_run(monkeypatch, capsys):
+    _patch_table(monkeypatch, _shifted_table(_NEUTRAL))
     weights = _length_weights(2, range(1, 6))
     assert next(weights) == _rounded_spectrum(2, 1)
     assert next(weights) == _rounded_spectrum(2, 2)
-    with pytest.raises(InvalidSpectrumError, match=message):
+    with pytest.raises(InvalidSpectrumError, match=_NEGATIVE_AT_3):
         next(weights)
     assert main(["entropy", "--spin", "2", "--length", "1..5"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert message.replace("\\", "") in captured.err
+    assert _NEGATIVE_AT_3.replace("\\", "") in captured.err
+
+
+def _negated_row(S, J):
+    rows, common = _recurrence_weights(S)
+    return tuple(tuple(-t for t in row) if j == J else row for j, row in enumerate(rows)), common
+
+
+@pytest.mark.parametrize(
+    "S, table",
+    [
+        # row 0 alone along _LATE: the trace is 1 at L = 1, 2 and off by 270 / D at L = 3
+        (2, _shifted_table(((0, 1),))),
+        # a whole real row negated
+        (2, _negated_row(2, 2)),
+        # Lambda(0) = -12/(12*9) = -1/9 and Lambda(1) = 40/(12*9) = 10/27 at
+        # L = 3, trace 1 there, but column l = 0 sums to 0, not to M = 12
+        (1, (((0, -12), (0, 40)), 12)),
+    ],
+    ids=["late-row-shift", "negated-row", "hand-built-spin-1"],
+)
+def test_a_table_off_the_trace_law_raises_before_any_length(monkeypatch, capsys, S, table):
+    assert not entropy._obeys_trace_law(table)
+    _patch_table(monkeypatch, table)
+    seen = _spy_exact(monkeypatch)
+    message = f"recurrence weight table at S={S} breaks the trace law"
+    with pytest.raises(InvalidSpectrumError, match=message):
+        next(_length_weights(S, range(1, 6)))
+    assert seen == []
+    assert main(["entropy", "--spin", str(S), "--length", "1..5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
 
 
 @pytest.mark.parametrize(
     "shifts, obeys_law, calls",
     [
-        # off the trace law: every length of the run takes the exact routine
-        (((0, 1),), False, [(1, 2, 3, 4, 5)]),
+        # off the trace law: no length is yielded and none takes the fallback
+        (((0, 1),), False, []),
         # a trace-neutral shift keeps the law; L = 3 fails to certify, as
         # Lambda(0) < 0 there, and L = 1 has zero sectors
-        (((0, -5), (2, 1)), True, [(1,), (3,)]),
+        (_NEUTRAL, True, [1, 3]),
     ],
 )
 def test_the_trace_law_decides_which_lengths_go_exact(monkeypatch, shifts, obeys_law, calls):
@@ -298,8 +321,9 @@ def test_the_trace_law_decides_which_lengths_go_exact(monkeypatch, shifts, obeys
     assert entropy._obeys_trace_law(table) is obeys_law
     _patch_table(monkeypatch, table)
     seen = _spy_exact(monkeypatch)
-    weights = _length_weights(2, range(1, 6))
-    assert [next(weights), next(weights)] == [_rounded_spectrum(2, 1), _rounded_spectrum(2, 2)]
-    with pytest.raises(InvalidSpectrumError, match="at S=2, L=3"):
-        next(weights)
+    yielded = []
+    message = "at S=2, L=3" if obeys_law else "table at S=2 breaks the trace law"
+    with pytest.raises(InvalidSpectrumError, match=message):
+        yielded.extend(_length_weights(2, range(1, 6)))
+    assert yielded == ([_rounded_spectrum(2, 1), _rounded_spectrum(2, 2)] if obeys_law else [])
     assert seen == calls

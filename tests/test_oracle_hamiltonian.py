@@ -199,6 +199,17 @@ def test_unique_hamiltonian_boundary_weights():
         unique_hamiltonian(1, 2, D=[1.0, 1.0])
 
 
+@pytest.mark.parametrize("weight", [math.nan, math.inf, -math.inf])
+def test_coupling_weights_must_be_finite(weight):
+    for build in (
+        lambda: unique_hamiltonian(1, 2, C=[weight]),
+        lambda: unique_hamiltonian(1, 2, D=[weight]),
+        lambda: block_hamiltonian(2, 2, C=[1.0, weight]),
+    ):
+        with pytest.raises(ValueError, match="positive and finite"):
+            build()
+
+
 # ---------------------------------------------------------------------------
 # the bond rule: both builders against the projector sum written out
 # ---------------------------------------------------------------------------

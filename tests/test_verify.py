@@ -692,6 +692,83 @@ def test_bond_operator_commutators_report_failure(monkeypatch, broken):
 
 
 # ---------------------------------------------------------------------------
+# a NaN anywhere in a check's deviations fails it, first or not
+# ---------------------------------------------------------------------------
+
+def test_spectra_close_fails_on_nan_and_on_unequal_lengths():
+    assert verify._spectra_close([0.5, 0.5], [0.5, 0.25]) == 0.25
+    assert verify._spectra_close([], []) == 0.0
+    assert math.isnan(verify._spectra_close([0.5, math.nan], [0.5, 0.2]))
+    assert verify._spectra_close([0.5, 0.5, 0.1], [0.5, 0.5]) == math.inf
+    assert verify._spectra_close([0.5, 0.5], [0.5, 0.5, 0.1]) == math.inf
+
+
+@pytest.mark.parametrize(
+    "name, longer_chains_only, spoil",
+    [
+        # the last value turns NaN, or one extra exact zero follows it
+        ("position_and_size_independence", True, lambda values: [*values[:-1], math.nan]),
+        ("position_and_size_independence", True, lambda values: [*values, 0.0]),
+        ("pauli_equals_fock", False, lambda values: [*values, 0.0]),
+    ],
+    ids=["position-nan", "position-extra-zero", "pauli-extra-zero"],
+)
+def test_oracle_route_checks_fail_on_a_bad_spectrum(monkeypatch, name, longer_chains_only, spoil):
+    real = verify.fock_block_spectrum
+
+    def fock_block_spectrum(S, L, N, start, max_dim):
+        values = real(S, L, N=N, start=start, max_dim=max_dim)
+        return spoil(values) if N > L or not longer_chains_only else values
+
+    monkeypatch.setattr(verify, "fock_block_spectrum", fock_block_spectrum)
+    assert not next(c for c in suite_oracle(spin=1, max_length=2) if c["name"] == name)["passed"]
+
+
+def test_pauli_ground_states_fail_on_a_nan_state(monkeypatch):
+    real = verify.pauli_ground_states_spin1
+    monkeypatch.setattr(
+        verify,
+        "pauli_ground_states_spin1",
+        lambda L, alpha: real(L, alpha) * (math.nan if alpha == 1 else 1.0),
+    )
+    checks = suite_oracle(spin=1, max_length=2)
+    assert math.isnan(_counterexample(checks, "pauli_ground_states")["worst"])
+
+
+def test_hamiltonian_checks_fail_on_nan(monkeypatch):
+    # one projector turns NaN after real ones, and every residual after the
+    # first is NaN: the ground-space check sees a real value first, the
+    # uniqueness check a NaN alone
+    real_projector, real_residual = verify.pair_projector, verify._sector_residual
+    calls = []
+
+    def pair_projector(two_j1, two_j2, two_jbond):
+        return real_projector(two_j1, two_j2, two_jbond) * (math.nan if two_jbond == 2 else 1.0)
+
+    def sector_residual(sectors, vec):
+        calls.append(None)
+        return real_residual(sectors, vec) if len(calls) == 1 else math.nan
+
+    monkeypatch.setattr(verify, "pair_projector", pair_projector)
+    monkeypatch.setattr(verify, "_sector_residual", sector_residual)
+    checks = suite_hamiltonian(spin=1, lengths=[2])
+    assert math.isnan(_counterexample(checks, "projector_algebra")["worst"])
+    assert math.isnan(_counterexample(checks, "block_ground_space")["annihilation_residual"])
+    assert math.isnan(_counterexample(checks, "unique_ground_state")["annihilation_residual"])
+
+
+def test_total_spin_check_fails_on_a_nan_casimir_residual(monkeypatch):
+    real = verify.total_spin_checks
+
+    def total_spin_checks(state):
+        return {**real(state), "casimir_residual": math.nan}
+
+    monkeypatch.setattr(verify, "total_spin_checks", total_spin_checks)
+    checks = suite_appendix(max_spin=1)
+    assert math.isnan(_counterexample(checks, "total_spin_quantum_numbers")["casimir_residual"])
+
+
+# ---------------------------------------------------------------------------
 # ground-space projector distance (Gram form: no dense (2S+1)^L square)
 # ---------------------------------------------------------------------------
 
