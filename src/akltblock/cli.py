@@ -20,7 +20,7 @@ import sys
 from . import __version__
 from .angular import DEFAULT_MAX_DIM, ResourceCapError
 from .entropy import _entropy, _length_weights
-from .exact_suites import SUITES, _Check, run_suite
+from .exact_suites import SUITES, _Check, _exact_text, run_suite
 from .spectrum import EXACT_METHODS, block_spectrum, saturation_value
 
 __all__ = ["run_spectrum", "run_entropy", "run_verify", "main"]
@@ -92,19 +92,6 @@ def run_spectrum(args: argparse.Namespace) -> tuple[dict, int]:
     return _document(args, [dict(zip(_ROW_FIELDS, row)) for row in rows], checks)
 
 
-def _exact_text(value) -> str:
-    """Exact "p/q" of a Fraction at any size.
-
-    The int-to-str digit limit is lifted for this call only.
-    """
-    limit = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(0)
-    try:
-        return str(value)
-    finally:
-        sys.set_int_max_str_digits(limit)
-
-
 def run_entropy(args: argparse.Namespace) -> tuple[dict, int]:
     """Von Neumann plus Renyi entropies per block length, in nats."""
     results = []
@@ -121,7 +108,6 @@ def run_entropy(args: argparse.Namespace) -> tuple[dict, int]:
                     "saturation_gap": saturation - value,
                 }
             )
-    results.sort(key=lambda row: (row["S"], row["L"], row["alpha"]))
     return _document(args, results, [])
 
 

@@ -1,9 +1,10 @@
 """The numpy-free verification layer: check records, suites table, exact suites.
 
-``_Check`` builds every check record, the CLI's agreement records included.
-``suite_conjecture1`` and ``suite_flat_limit`` decide every cell in integers,
-on the unreduced N_J / D of ``spectrum._sector_numerators``, and format
-Fractions only for a counterexample. ``run_suite`` runs any suite of the
+``_Check`` builds every check record, the CLI's included, and ``_exact_text``
+writes every exact value. ``suite_conjecture1`` compares the two weight
+tables once per S; it and ``suite_flat_limit`` decide each per-L cell in
+integers, on the unreduced N_J / D of ``spectrum._sector_numerators``, and
+format Fractions only for a counterexample. ``run_suite`` runs any suite of the
 ``SUITES`` table: one defined here, any other from ``verify``, imported only
 then because it loads the numpy oracle. The CLI imports ``run_suite`` and
 ``SUITES`` from here, so ``verify conjecture1`` runs without numpy.
@@ -11,7 +12,9 @@ then because it loads the numpy oracle. The CLI imports ``run_suite`` and
 
 from __future__ import annotations
 
+import itertools
 import math
+import sys
 from fractions import Fraction
 from operator import mul
 
@@ -60,6 +63,16 @@ class _Check:
         return record
 
 
+def _exact_text(value: Fraction) -> str:
+    """Exact "p/q" of a Fraction, with the int-to-str digit limit lifted for this call only."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return str(value)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 # Suite name -> (suite function name, options it takes), run in order.
 # ``run_suite`` looks each function up by name at call time: in this module,
 # else in ``verify`` (imported only then). Their defaults live only in their
@@ -78,29 +91,27 @@ SUITES = {
 def suite_conjecture1(max_spin: int = 5, max_length: int = 30) -> list[dict]:
     """Exact agreement of the two formula routes, plus the exact trace law.
 
-    Per S, each route's kernel walks its lengths once. The trace law is
-    sum_J (2J+1) N_J == D; the routes agree when N_J D' == N'_J D.
+    One kernel evaluates both routes' weight tables (T, M) and (T', M'), so
+    they agree at every L when T_{J,l} M' == T'_{J,l} M for every J, l. Per
+    S, the recurrence kernel walks its lengths once for the trace law
+    sum_J (2J+1) N_J == D.
     """
     checks = []
     trace = _Check("conjecture1", "trace_law")
     for S in range(1, max_spin + 1):
         routes = _Check("conjecture1", f"recurrence_equals_closed_spin{S}")
-        recurrence = _sector_numerators(_recurrence_weights, S, range(1, max_length + 1))
-        closed = _sector_numerators(_closed_weights, S, range(2, max_length + 1))
-        for L, (rec, D) in enumerate(recurrence, 1):
-            total = sum(map(mul, range(1, 2 * S + 2, 2), rec))
+        (rows, common), (others, other) = _recurrence_weights(S), _closed_weights(S)
+        for J, l in itertools.product(range(S + 1), repeat=2):
+            if rows[J][l] * other != others[J][l] * common:
+                routes.cell(True, S=S, J=J, l=l,
+                            recurrence=_exact_text(Fraction(rows[J][l], common)),
+                            closed_form=_exact_text(Fraction(others[J][l], other)))
+                break
+        kernel = _sector_numerators(_recurrence_weights, S, range(1, max_length + 1))
+        for L, (numerators, D) in enumerate(kernel, 1):
+            total = sum(map(mul, range(1, 2 * S + 2, 2), numerators))
             if trace.passed and total != D:
-                trace.cell(True, S=S, L=L, trace=str(Fraction(total, D)))
-            if L < 2 or not routes.passed:
-                continue
-            others, other = next(closed)
-            if L == 2:  # D'/D is the same at every L: compare on the small L = 2 pair
-                m, m2 = D, other
-            for J, (n, n2) in enumerate(zip(rec, others)):
-                if n * m2 != n2 * m:
-                    routes.cell(True, S=S, L=L, J=J, recurrence=str(Fraction(n, D)),
-                                closed_form=str(Fraction(n2, other)))
-                    break
+                trace.cell(True, S=S, L=L, trace=_exact_text(Fraction(total, D)))
         checks.append(routes.record(f"exact equality over L=2..{max_length}, J=0..{S}"))
     checks.append(
         trace.record(f"sum_J (2J+1) Lambda(J) == 1 exactly, S<={max_spin}, L<={max_length}")
@@ -125,7 +136,8 @@ def suite_flat_limit(max_spin: int = 5, max_length: int = 40) -> list[dict]:
             for J, (N, (k, w)) in enumerate(zip(numerators, bounds)):
                 if check.passed and abs(n * N - D) * w * q > k * p * n * D:
                     deviation, bound = Fraction(abs(n * N - D), n * D), Fraction(k * p, w * q)
-                    check.cell(True, S=S, L=L, J=J, deviation=str(deviation), bound=str(bound))
+                    check.cell(True, S=S, L=L, J=J, deviation=_exact_text(deviation),
+                               bound=_exact_text(bound))
     return [
         check.record(
             f"|Lambda(J) - 1/(S+1)^2| <= K(S,J) |lambda(1,S)|^(L-1), "

@@ -27,9 +27,9 @@ a_l = (-1)^l C(2S+1,S-l), every sector of one L then shares
 one integer dot product per sector, with the powers a_l^(L-1) stepped
 from one length to the next by ``_power_steps``. ``eigenvalue_recurrence``
 and ``eigenvalue_closed`` read one (S, L) at a time and reduce each
-N_J / D to a Fraction (one gcd); ``exact_suites`` decides every cell on
-the unreduced N_J and D; ``entropy._length_weights`` reads the powers in
-fixed point.
+N_J / D to a Fraction (one gcd); ``exact_suites`` decides every per-L
+cell on the unreduced N_J and D; ``entropy._length_weights`` reads the
+powers in fixed point.
 
 Everything here is exact integer and rational arithmetic; no floats enter
 until entropy evaluation. Norm-squares of the underlying (unnormalized) VBS

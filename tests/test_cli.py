@@ -17,7 +17,7 @@ from fractions import Fraction
 
 import pytest
 
-from akltblock import cli, verify
+from akltblock import cli, exact_suites, spectrum, verify
 from akltblock.cli import main
 from akltblock.entropy import InvalidSpectrumError, renyi
 from akltblock.spectrum import BlockSpectrum, block_spectrum, eigenvalue_recurrence, saturation_value
@@ -177,6 +177,45 @@ def test_spectrum_lambda_exact_beyond_int_digit_limit(output_format, capsys):
         for row in rows:
             J = int(row["J"])
             assert Fraction(row["lambda_exact"]) == eigenvalue_recurrence(3, 5000, J)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+@pytest.mark.parametrize("output_format", ["json", "csv"])
+def test_verify_counterexample_beyond_int_digit_limit(output_format, capsys, monkeypatch):
+    # N_0 moves by 1 at S = 1, L = 9100, so the trace law fails with a trace
+    # (D + 1)/D whose D runs to ~4350 digits, past Python's default
+    # 4300-digit int/str conversion limit.
+    real = exact_suites._sector_numerators
+
+    def bumped(weights, S, lengths):
+        for L, (numerators, D) in zip(lengths, real(weights, S, lengths)):
+            if (S, L) == (1, 9100):
+                numerators = [numerators[0] + 1, *numerators[1:]]
+            yield numerators, D
+
+    monkeypatch.setattr(exact_suites, "_sector_numerators", bumped)
+    limit = sys.get_int_max_str_digits()
+    code, out, _ = run_cli(
+        capsys, "verify", "conjecture1", "--max-spin", "1", "--max-length", "9100",
+        "--format", output_format,
+    )
+    assert code == 1
+    assert sys.get_int_max_str_digits() == limit
+    if output_format == "json":
+        records = json.loads(out)["checks"]
+    else:
+        records = list(csv.DictReader(io.StringIO(out)))
+    (trace,) = [record for record in records if record["name"] == "trace_law"]
+    where = trace["counterexample"]
+    if output_format == "csv":
+        where = json.loads(where)
+    assert (where["S"], where["L"]) == (1, 9100)
+    assert len(where["trace"]) > 4300
+    (_, D), = real(spectrum._recurrence_weights, 1, (9100,))
+    sys.set_int_max_str_digits(0)
+    try:
+        assert Fraction(where["trace"]) == Fraction(D + 1, D)
     finally:
         sys.set_int_max_str_digits(limit)
 

@@ -1,5 +1,6 @@
 """Tests for the cross-checking suites and the spectrum matcher."""
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from akltblock import exact_suites, spectrum, verify
+from akltblock import cli, exact_suites, spectrum, verify
 from akltblock.angular import TOL
 from akltblock.oracle import hamiltonians
 from akltblock.oracle import ResourceCapError
@@ -274,35 +275,48 @@ def test_flat_limit_suite_passes():
 
 
 def _spy(monkeypatch, sectors=False):
-    """Record each kernel cell the exact suites read: (S, L), tagged by route.
+    """Record each kernel cell and each closed-table read of the exact suites.
 
-    A closed-form cell is (S, L, "closed_form"); with ``sectors`` every
-    recurrence cell is recorded once per sector, as (S, L, J).
+    A recurrence cell is (S, L), or with ``sectors`` one (S, L, J) per
+    sector; a kernel cell of any other table is (S, L, "other"). Each read of
+    the closed table is (S, "closed_form").
     """
     real = exact_suites._sector_numerators
     calls = []
 
     def spy(weights, S, lengths):
-        closed = weights is spectrum._closed_weights
+        recurrence = weights is spectrum._recurrence_weights
         for L, cell in zip(lengths, real(weights, S, lengths)):
-            if closed:
-                calls.append((S, L, "closed_form"))
+            if not recurrence:
+                calls.append((S, L, "other"))
             elif sectors:
                 calls.extend((S, L, J) for J in range(S + 1))
             else:
                 calls.append((S, L))
             yield cell
 
+    def closed(S):
+        calls.append((S, "closed_form"))
+        return spectrum._closed_weights(S)
+
     monkeypatch.setattr(exact_suites, "_sector_numerators", spy)
+    monkeypatch.setattr(exact_suites, "_closed_weights", closed)
     return calls
+
+
+def _conjecture1_reads(spins, max_length):
+    """Per S: one closed-table read, then the recurrence cells L = 1..max_length."""
+    return [
+        read
+        for S in spins
+        for read in [(S, "closed_form")] + [(S, L) for L in range(1, max_length + 1)]
+    ]
 
 
 def test_conjecture1_suite_visits_its_whole_grid(monkeypatch):
     calls = _spy(monkeypatch)
     all_passed(suite_conjecture1(max_spin=2, max_length=5))
-    recurrence = [(S, L) for S in (1, 2) for L in range(1, 6)]
-    closed = [(S, L, "closed_form") for S in (1, 2) for L in range(2, 6)]
-    assert sorted(calls) == sorted(recurrence + closed)
+    assert calls == _conjecture1_reads((1, 2), 5)
 
 
 def test_flat_limit_suite_visits_its_whole_grid(monkeypatch):
@@ -314,9 +328,7 @@ def test_flat_limit_suite_visits_its_whole_grid(monkeypatch):
 def test_conjecture1_suite_defaults_to_spins_up_to_five(monkeypatch):
     calls = _spy(monkeypatch)
     all_passed(suite_conjecture1())
-    recurrence = [(S, L) for S in range(1, 6) for L in range(1, 31)]
-    closed = [(S, L, "closed_form") for S in range(1, 6) for L in range(2, 31)]
-    assert sorted(calls) == sorted(recurrence + closed)
+    assert calls == _conjecture1_reads(range(1, 6), 30)
 
 
 def test_flat_limit_suite_defaults_to_spins_up_to_five(monkeypatch):
@@ -413,17 +425,15 @@ def test_appendix_checks_report_first_counterexample(monkeypatch):
     assert spin["casimir_residual"] == 1.0
 
 
-def _perturbed(real, cells, closed_scale=1):
+def _perturbed(real, cells):
     """``_sector_numerators`` with Lambda(J) moved by ``shift`` at each listed cell.
 
     ``cells`` maps (route, S, L) to (J, shift); N_J moves by shift * D, which
-    must be an integer. Every closed-form cell is then written over
-    ``closed_scale`` times its denominator, which changes no value.
+    must be an integer.
     """
 
     def kernel(weights, S, lengths):
         route = "closed_form" if weights is spectrum._closed_weights else "recurrence"
-        scale = closed_scale if route == "closed_form" else 1
         for L, (numerators, D) in zip(lengths, real(weights, S, lengths)):
             numerators = list(numerators)
             if (route, S, L) in cells:
@@ -431,37 +441,75 @@ def _perturbed(real, cells, closed_scale=1):
                 offset = Fraction(shift) * D
                 assert offset.denominator == 1, (route, S, L)
                 numerators[J] += offset.numerator
-            yield [n * scale for n in numerators], D * scale
+            yield numerators, D
 
     return kernel
 
 
+def _moved_table(moves, scale=1):
+    """``_closed_weights`` over ``scale`` times its denominator M', then moved.
+
+    The scale changes no value; each T'_{J,l} of the scaled table then moves
+    by ``moves[S, J, l]``, so c(S,J,l) moves by that many 1/(scale M').
+    """
+
+    def table(S):
+        rows, common = spectrum._closed_weights(S)
+        rows = [
+            [t * scale + moves.get((S, J, l), 0) for l, t in enumerate(row)]
+            for J, row in enumerate(rows)
+        ]
+        return rows, common * scale
+
+    return table
+
+
 def test_conjecture1_checks_report_first_counterexample(monkeypatch):
+    # The recurrence kernel's faults fail the trace law alone; the closed
+    # table's moves fail the route records, first (J, l) first. S = 2 keeps
+    # its table and passes although its kernel is moved at L = 4.
     cells = {
-        ("closed_form", 2, 5): (1, Fraction(1, 10**5)),
-        ("closed_form", 2, 6): (0, 1),
-        ("closed_form", 3, 4): (3, Fraction(-1, 7)),
         ("recurrence", 1, 3): (0, 1),
         ("recurrence", 1, 5): (1, 1),
         ("recurrence", 2, 4): (0, 1),
     }
+    moves = {(1, 0, 1): 2, (3, 2, 1): -1, (3, 1, 3): 1}
     monkeypatch.setattr(
         exact_suites, "_sector_numerators", _perturbed(exact_suites._sector_numerators, cells)
     )
+    monkeypatch.setattr(exact_suites, "_closed_weights", _moved_table(moves, 7))
     checks = suite_conjecture1(max_spin=3, max_length=6)
     assert list(_counterexample(checks, "recurrence_equals_closed_spin1").items()) == [
-        ("S", 1), ("L", 3), ("J", 0), ("recurrence", "11/9"), ("closed_form", "2/9"),
+        ("S", 1), ("J", 0), ("l", 1), ("recurrence", "-1/4"), ("closed_form", "-19/84"),
     ]
-    assert list(_counterexample(checks, "recurrence_equals_closed_spin2").items()) == [
-        ("S", 2), ("L", 4), ("J", 0), ("recurrence", "283/250"), ("closed_form", "33/250"),
-    ]
+    all_passed([c for c in checks if c["name"] == "recurrence_equals_closed_spin2"])
     assert list(_counterexample(checks, "recurrence_equals_closed_spin3").items()) == [
-        ("S", 3), ("L", 4), ("J", 3),
-        ("recurrence", "14412/300125"), ("closed_form", "-28463/300125"),
+        ("S", 3), ("J", 1), ("l", 3), ("recurrence", "3/400"), ("closed_form", "37/4900"),
     ]
     assert list(_counterexample(checks, "trace_law").items()) == [
         ("S", 1), ("L", 3), ("trace", "2"),
     ]
+
+
+def test_a_table_difference_that_no_sampled_length_sees_fails(monkeypatch, capsys):
+    # At S = 2, a_l = (-1)^l C(5, 2-l) = (10, -5, 1). Moving T'_{1,1} by a_2
+    # and T'_{1,2} by -a_1 moves N'_1 = sum_l T'_{1,l} a_l^(L-1) by
+    # a_2 a_1^(L-1) - a_1 a_2^(L-1): by 0 at L = 2, by 30 at L = 3.
+    moved = _moved_table({(2, 1, 1): 1, (2, 1, 2): 5})
+    monkeypatch.setattr(exact_suites, "_closed_weights", moved)
+
+    def sector_one(weights, L):
+        (numerators, D), = spectrum._sector_numerators(weights, 2, (L,))
+        return Fraction(numerators[1], D)
+
+    assert sector_one(moved, 2) == sector_one(spectrum._recurrence_weights, 2)
+    assert sector_one(moved, 3) != sector_one(spectrum._recurrence_weights, 3)
+    checks = suite_conjecture1(max_spin=2, max_length=2)
+    assert list(_counterexample(checks, "recurrence_equals_closed_spin2").items()) == [
+        ("S", 2), ("J", 1), ("l", 1), ("recurrence", "-1/12"), ("closed_form", "-7/90"),
+    ]
+    assert cli.main(["verify", "conjecture1", "--max-spin", "2", "--max-length", "2"]) == 1
+    capsys.readouterr()
 
 
 def test_flat_limit_reports_first_counterexample(monkeypatch):
@@ -478,8 +526,9 @@ def test_flat_limit_reports_first_counterexample(monkeypatch):
 
 
 def test_exact_suites_format_only_the_first_failing_cell(monkeypatch):
-    # Every recurrence sector moves by 1, so every cell of every check fails;
-    # each check still builds the Fractions of its counterexample alone.
+    # Every recurrence sector moves by 1 and every closed-table weight by one
+    # unit, so every cell of every check fails; each check still builds the
+    # Fractions of its counterexample alone.
     real = exact_suites._sector_numerators
     built = []
 
@@ -498,34 +547,37 @@ def test_exact_suites_format_only_the_first_failing_cell(monkeypatch):
                 numerators = [n + D for n in numerators]
             yield numerators, D
 
+    moves = {(S, J, l): 1 for S in range(1, 4) for J in range(S + 1) for l in range(S + 1)}
     monkeypatch.setattr(exact_suites, "_sector_numerators", shifted)
+    monkeypatch.setattr(exact_suites, "_closed_weights", _moved_table(moves))
     checks = suite_conjecture1(max_spin=3, max_length=6) + suite_flat_limit(max_spin=3, max_length=6)
     assert not any(check["passed"] for check in checks)
     # trace_law: one; each recurrence_equals_closed_spinS: two; flat_limit_bound: two
     assert len(built) == 1 + 2 * 3 + 2
 
 
-# The Fraction form of the two exact suites: one ``block_spectrum`` or
-# ``eigenvalue_recurrence`` value per cell, compared and formatted as a
-# Fraction. The integer suites must give the same records.
+# The Fraction form of the two exact suites: one weight c(S,J,l) of each
+# table, or one ``block_spectrum`` or ``eigenvalue_recurrence`` value, per
+# cell, compared and formatted as a Fraction. The integer suites must give
+# the same records.
 
 def _reference_conjecture1(max_spin, max_length):
     checks = []
     trace = exact_suites._Check("conjecture1", "trace_law")
     for S in range(1, max_spin + 1):
         routes = exact_suites._Check("conjecture1", f"recurrence_equals_closed_spin{S}")
+        (rows, common), (others, other) = (
+            spectrum._recurrence_weights(S), exact_suites._closed_weights(S)
+        )
+        for J, l in itertools.product(range(S + 1), repeat=2):
+            rec, closed = Fraction(rows[J][l], common), Fraction(others[J][l], other)
+            if not routes.cell(
+                rec != closed, S=S, J=J, l=l, recurrence=str(rec), closed_form=str(closed)
+            ):
+                break
         for L in range(1, max_length + 1):
-            spec = block_spectrum(S, L)
-            total = spec.trace()
+            total = block_spectrum(S, L).trace()
             trace.cell(total != 1, S=S, L=L, trace=str(total))
-            if not routes.passed or L < 2:
-                continue
-            closed = block_spectrum(S, L, "closed_form")
-            for (J, rec, _), (_, other, _) in zip(spec.entries, closed.entries):
-                if not routes.cell(
-                    rec != other, S=S, L=L, J=J, recurrence=str(rec), closed_form=str(other)
-                ):
-                    break
         checks.append(routes.record(f"exact equality over L=2..{max_length}, J=0..{S}"))
     checks.append(
         trace.record(f"sum_J (2J+1) Lambda(J) == 1 exactly, S<={max_spin}, L<={max_length}")
@@ -553,35 +605,43 @@ def _reference_flat_limit(max_spin, max_length):
     ]
 
 
-_SECTORS = st.integers(1, 4).flatmap(lambda S: st.tuples(st.just(S), st.integers(0, S)))
+_WEIGHTS = st.integers(1, 4).flatmap(
+    lambda S: st.tuples(st.just(S), st.integers(0, S), st.integers(0, S))
+)
 
 
 @given(
     route=st.sampled_from(["recurrence", "closed_form"]),
-    sector=_SECTORS,
+    weight=_WEIGHTS,
     L=st.integers(1, 12),
     sign=st.sampled_from([1, -1]),
     whole=st.booleans(),
     closed_scale=st.sampled_from([1, 2, 7]),
 )
-@example(route="recurrence", sector=(1, 0), L=2, sign=1, whole=False, closed_scale=1)
-@example(route="closed_form", sector=(2, 1), L=3, sign=-1, whole=True, closed_scale=7)
+@example(route="recurrence", weight=(1, 0, 0), L=2, sign=1, whole=False, closed_scale=1)
+@example(route="closed_form", weight=(2, 1, 1), L=3, sign=-1, whole=True, closed_scale=7)
 @settings(deadline=None, max_examples=60)
-def test_integer_suites_match_the_fraction_reference(route, sector, L, sign, whole, closed_scale):
-    # One kernel numerator N_J moves by +-1 or by +-D, and the closed route may
-    # be written over a larger denominator. The integer suites and the Fraction
-    # reference read that one kernel and must give the same records. The first
-    # example moves a spin-1 cell that sits exactly on its flat-limit bound.
-    S, J = sector
-    weights = spectrum._closed_weights if route == "closed_form" else spectrum._recurrence_weights
-    _, D = next(spectrum._sector_numerators(weights, S, (L,)))
-    shift = Fraction(sign, 1 if whole else D)
-    kernel = _perturbed(spectrum._sector_numerators, {(route, S, L): (J, shift)}, closed_scale)
+def test_integer_suites_match_the_fraction_reference(route, weight, L, sign, whole, closed_scale):
+    # The closed table is written over a larger denominator. Then either the
+    # recurrence kernel's N_J at (S, L) moves by +-1 or by +-D, or the closed
+    # table's c(S,J,l) moves by +-1 or by one unit of that denominator. The
+    # integer suites and the Fraction reference read that one kernel and those
+    # two tables and must give the same records. The first example moves a
+    # spin-1 cell that sits exactly on its flat-limit bound.
+    S, J, l = weight
+    cells, moves = {}, {}
+    if route == "recurrence":
+        _, D = next(spectrum._sector_numerators(spectrum._recurrence_weights, S, (L,)))
+        cells[route, S, L] = (J, Fraction(sign, 1 if whole else D))
+    else:
+        moves[S, J, l] = sign * (closed_scale * spectrum._closed_weights(S)[1] if whole else 1)
+    kernel = _perturbed(spectrum._sector_numerators, cells)
     spectrum._sector_values.cache_clear()
     try:
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(spectrum, "_sector_numerators", kernel)
             patch.setattr(exact_suites, "_sector_numerators", kernel)
+            patch.setattr(exact_suites, "_closed_weights", _moved_table(moves, closed_scale))
             assert suite_conjecture1(4, 12) == _reference_conjecture1(4, 12)
             assert suite_flat_limit(4, 12) == _reference_flat_limit(4, 12)
     finally:
