@@ -94,11 +94,12 @@ def run_spectrum(args: argparse.Namespace) -> tuple[dict, int]:
 
 def run_entropy(args: argparse.Namespace) -> tuple[dict, int]:
     """Von Neumann plus Renyi entropies per block length, in nats."""
-    results = []
+    results, shared = [], None
     saturation = saturation_value(args.spin)
     for L, weights in zip(args.length, _length_weights(args.spin, args.length)):
-        for alpha in args.alpha:
-            value = _entropy(weights, alpha)
+        if weights is not shared:  # the flat tail yields one tuple for every length
+            shared, values = weights, [_entropy(weights, alpha) for alpha in args.alpha]
+        for alpha, value in zip(args.alpha, values):
             results.append(
                 {
                     "S": args.spin,

@@ -94,7 +94,7 @@ def suite_conjecture1(max_spin: int = 5, max_length: int = 30) -> list[dict]:
     One kernel evaluates both routes' weight tables (T, M) and (T', M'), so
     they agree at every L when T_{J,l} M' == T'_{J,l} M for every J, l. Per
     S, the recurrence kernel walks its lengths once for the trace law
-    sum_J (2J+1) N_J == D.
+    sum_J (2J+1) N_J == D, until the law first fails.
     """
     checks = []
     trace = _Check("conjecture1", "trace_law")
@@ -107,12 +107,15 @@ def suite_conjecture1(max_spin: int = 5, max_length: int = 30) -> list[dict]:
                             recurrence=_exact_text(Fraction(rows[J][l], common)),
                             closed_form=_exact_text(Fraction(others[J][l], other)))
                 break
+        checks.append(routes.record(f"exact equality over L=2..{max_length}, J=0..{S}"))
+        if not trace.passed:  # no later cell can change a failed trace law
+            continue
         kernel = _sector_numerators(_recurrence_weights, S, range(1, max_length + 1))
         for L, (numerators, D) in enumerate(kernel, 1):
             total = sum(map(mul, range(1, 2 * S + 2, 2), numerators))
-            if trace.passed and total != D:
+            if total != D:
                 trace.cell(True, S=S, L=L, trace=_exact_text(Fraction(total, D)))
-        checks.append(routes.record(f"exact equality over L=2..{max_length}, J=0..{S}"))
+                break
     checks.append(
         trace.record(f"sum_J (2J+1) Lambda(J) == 1 exactly, S<={max_spin}, L<={max_length}")
     )
@@ -124,8 +127,13 @@ def suite_flat_limit(max_spin: int = 5, max_length: int = 40) -> list[dict]:
 
     With K(S,J) = k / w and |lambda(1,S)|^(L-1) = p / q, stepped per L, a
     cell passes when |n N_J - D| / (n D) <= k p / (w q), cross-multiplied.
+    The walk stops at the first failing cell.
     """
     check = _Check("conjecture1", "flat_limit_bound")
+    detail = (
+        f"|Lambda(J) - 1/(S+1)^2| <= K(S,J) |lambda(1,S)|^(L-1), "
+        f"S<={max_spin}, L<={max_length} (exact rational comparison)"
+    )
     for S in range(1, max_spin + 1):
         n, p, q = (S + 1) ** 2, 1, 1
         dp, dq = abs(lambda_coeff(1, S)).as_integer_ratio()
@@ -134,16 +142,12 @@ def suite_flat_limit(max_spin: int = 5, max_length: int = 40) -> list[dict]:
         for L, (numerators, D) in enumerate(kernel, 2):
             p, q = p * dp, q * dq
             for J, (N, (k, w)) in enumerate(zip(numerators, bounds)):
-                if check.passed and abs(n * N - D) * w * q > k * p * n * D:
+                if abs(n * N - D) * w * q > k * p * n * D:
                     deviation, bound = Fraction(abs(n * N - D), n * D), Fraction(k * p, w * q)
                     check.cell(True, S=S, L=L, J=J, deviation=_exact_text(deviation),
                                bound=_exact_text(bound))
-    return [
-        check.record(
-            f"|Lambda(J) - 1/(S+1)^2| <= K(S,J) |lambda(1,S)|^(L-1), "
-            f"S<={max_spin}, L<={max_length} (exact rational comparison)"
-        )
-    ]
+                    return [check.record(detail)]
+    return [check.record(detail)]
 
 
 def run_suite(name: str, **options) -> list[dict]:

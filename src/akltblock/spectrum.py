@@ -25,11 +25,12 @@ a_l = (-1)^l C(2S+1,S-l), every sector of one L then shares
                            D = M C(2S+1,S)^(L-1):
 
 one integer dot product per sector, with the powers a_l^(L-1) stepped
-from one length to the next by ``_power_steps``. ``eigenvalue_recurrence``
-and ``eigenvalue_closed`` read one (S, L) at a time and reduce each
-N_J / D to a Fraction (one gcd); ``exact_suites`` decides every per-L
-cell on the unreduced N_J and D; ``entropy._length_weights`` reads the
-powers in fixed point.
+from one length to the next on the schedule of ``_power_steps``.
+``eigenvalue_recurrence`` and ``eigenvalue_closed`` read one (S, L) at a
+time and reduce each N_J / D to a Fraction (one gcd); ``exact_suites``
+decides every per-L cell on the unreduced N_J and D;
+``entropy._length_weights`` raises the same schedule's powers in fixed
+point.
 
 Everything here is exact integer and rational arithmetic; no floats enter
 until entropy evaluation. Norm-squares of the underlying (unnormalized) VBS
@@ -229,37 +230,36 @@ def _closed_weights(S: int) -> tuple[tuple[tuple[int, ...], ...], int]:
     return tuple(tuple(n // g for n in row) for row in rows), common // g
 
 
-def _power_steps(S: int, lengths):
-    """Yield (fresh, factors) for each L of ``lengths``: how to get a_l^(L-1) for l = 0..S.
+def _power_steps(lengths):
+    """Yield (L, fresh, k) for each L of ``lengths``: how to reach the powers x^(L-1).
 
-    a_l = (-1)^l C(2S+1,S-l), so that lambda(l,S) = a_l / C(2S+1,S). At the
-    first length, and at one below the length before it, ``fresh`` is True
-    and the factors are the powers a_l^(L-1) themselves; going up by dL the
-    factors are a_l^dL, to multiply into the powers of the length before.
+    At the first length, and at one below the length before it, ``fresh`` is
+    True and k = L - 1 is the exponent itself; going up by dL, k = dL, the
+    exponent of the factors to multiply into the powers of the length before.
     """
-    n = 2 * S + 1
-    bases = [(-1) ** l * math.comb(n, S - l) for l in range(S + 1)]
     previous = math.inf  # the first length starts from scratch
     for L in lengths:
         _check_int("length", L, 1)
         fresh = L < previous
-        exponent = L - 1 if fresh else L - previous
+        yield L, fresh, L - 1 if fresh else L - previous
         previous = L
-        yield fresh, [b**exponent for b in bases]
 
 
 def _sector_numerators(weights, S: int, lengths):
     """Yield ([N_J for J = 0..S], D) for each L of ``lengths``: Lambda(J) = N_J / D.
 
-    With the table (T, M) of ``weights(S)`` and the powers a_l^(L-1) of
-    ``_power_steps``,
+    With the table (T, M) of ``weights(S)``, the bases
+    a_l = (-1)^l C(2S+1,S-l), so that lambda(l,S) = a_l / C(2S+1,S), and
+    their powers a_l^(L-1) raised on the schedule of ``_power_steps``,
 
         N_J = sum_l T_{J,l} a_l^(L-1),   D = M C(2S+1,S)^(L-1) = M a_0^(L-1),
 
     left unreduced.
     """
     rows, common = weights(S)
-    for fresh, factors in _power_steps(S, lengths):
+    bases = [(-1) ** l * math.comb(2 * S + 1, S - l) for l in range(S + 1)]
+    for _, fresh, k in _power_steps(lengths):
+        factors = [b**k for b in bases]
         powers = factors if fresh else list(map(mul, powers, factors))
         yield [sum(map(mul, row, powers)) for row in rows], common * powers[0]
 

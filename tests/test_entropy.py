@@ -2,6 +2,7 @@
 
 import json
 import math
+import time
 from fractions import Fraction
 
 import pytest
@@ -187,6 +188,8 @@ def test_length_weights_check_their_arguments():
         with pytest.raises(ValueError):
             list(_length_weights(S, lengths))
     assert list(_length_weights(2, ())) == []
+    # a one-shot iterator of lengths is read once, each length in turn
+    assert list(_length_weights(5, iter([2, 3, 4, 5]))) == list(_length_weights(5, (2, 3, 4, 5)))
 
 
 def test_zero_eigenvalues_at_one_site_take_the_exact_path(monkeypatch):
@@ -206,6 +209,95 @@ def test_low_precision_certifies_nothing(monkeypatch):
     calls = _spy_exact(monkeypatch)
     assert list(_length_weights(5, lengths)) == expected
     assert calls == list(lengths)
+
+
+def _spy_tail(monkeypatch):
+    """Record (S, L0, arguments) of every flat-tail search ``_length_weights`` makes."""
+    searches = []
+    search = entropy._flat_tail
+
+    def spy(S, *args):
+        L0, weights = search(S, *args)
+        searches.append((S, L0, args))
+        return L0, weights
+
+    monkeypatch.setattr(entropy, "_flat_tail", spy)
+    return searches
+
+
+def _threshold(S):
+    """The L0 of the flat tail that ``_length_weights`` finds at S, and its search's arguments."""
+    with pytest.MonkeyPatch.context() as patch:
+        searches = _spy_tail(patch)
+        list(_length_weights(S, (10**9,)))
+    ((_, L0, args),) = searches
+    return L0, args
+
+
+@pytest.mark.parametrize("S", range(1, 13))
+def test_flat_tail_is_the_exact_spectrum_rounded(monkeypatch, S):
+    # the shared tuple starts at L0 and no earlier, stepped or one length at a
+    # time; L0 is the least length whose flat-limit interval certifies
+    L0, (precision, certify, _) = _threshold(S)
+    calls = _spy_exact(monkeypatch)
+    lengths = (L0 - 1, L0, L0 + 1, 2 * L0)
+    stepped = list(_length_weights(S, lengths))
+    assert stepped == [_rounded_spectrum(S, L) for L in lengths]
+    assert stepped[0] is not stepped[1] and stepped[1] is stepped[2] is stepped[3]
+    for L, weights in zip(lengths, stepped):
+        assert list(_length_weights(S, (L,))) == [weights], L
+    assert calls == []
+    assert entropy._flat_tail(S, precision, certify, L0 - 1)[0] == L0
+
+
+def test_flat_tail_thresholds_at_the_benchmark_spins():
+    # entropy_scan's windows: 178 of L = 2..301 at S = 5 and 68 of L = 2..251
+    # at S = 8 take the tail; none of L = 8..207 at S = 11 does
+    assert [_threshold(S)[0] for S in (5, 8, 11)] == [124, 184, 252]
+
+
+def test_flat_tail_is_searched_only_when_a_length_may_reach_it(monkeypatch):
+    searches = _spy_tail(monkeypatch)
+    list(_length_weights(11, range(8, 208)))
+    list(_length_weights(200, (2, 3000)))
+    assert searches == []
+    list(_length_weights(11, range(8, 260)))
+    assert [(S, L0) for S, L0, _ in searches] == [(11, 252)]
+
+
+def test_low_precision_has_no_flat_tail(monkeypatch):
+    # at 8 bits not even the least bound of all, one unit, certifies: the
+    # search must say so at once instead of stepping up forever
+    monkeypatch.setattr(entropy, "_PRECISION", 8)
+    searches = _spy_tail(monkeypatch)
+    calls = _spy_exact(monkeypatch)
+    for S in (1, 5, 12):
+        assert list(_length_weights(S, (300, 301))) == [_rounded_spectrum(S, 300), _rounded_spectrum(S, 301)]
+    assert [(S, L0) for S, L0, _ in searches] == [(1, math.inf), (5, math.inf), (12, math.inf)]
+    assert calls == [300, 301] * 3
+
+
+def test_huge_lengths_take_the_flat_tail_quickly():
+    # |Lambda(J) - 1/n| is far below a quarter ulp of 1/n here, so every
+    # float is float(1/n), n = (S+1)^2
+    for S, L in ((40, 100000), (5, 10**6)):
+        start = time.perf_counter()
+        (weights,) = _length_weights(S, (L,))
+        assert time.perf_counter() - start < 1.0, (S, L)
+        assert weights == tuple((1 / (S + 1) ** 2, 2 * J + 1) for J in range(S + 1))
+
+
+@pytest.mark.parametrize("S", range(1, 13))
+def test_squared_powers_match_the_stepped_ones(monkeypatch, S):
+    # with the flat tail off, fresh starts at any L and long steps raise
+    # fixed-point powers by squaring; every L >= 2 still certifies
+    monkeypatch.setattr(entropy, "_flat_tail", lambda *args: (math.inf, None))
+    calls = _spy_exact(monkeypatch)
+    stepped = list(_length_weights(S, range(1, 301)))
+    assert stepped[299] == _rounded_spectrum(S, 300) and stepped[200] == _rounded_spectrum(S, 201)
+    for lengths in ((300, 201, 1, 201, 300), (2, 201, 300), (50,), (201,), (300,)):
+        assert list(_length_weights(S, lengths)) == [stepped[L - 1] for L in lengths], lengths
+    assert calls == [1, 1]
 
 
 def _patch_table(monkeypatch, table):
@@ -304,6 +396,25 @@ def test_a_table_off_the_trace_law_raises_before_any_length(monkeypatch, capsys,
     captured = capsys.readouterr()
     assert captured.out == ""
     assert message in captured.err
+
+
+def test_flat_tail_centers_on_the_table_limit(monkeypatch):
+    # a trace-neutral move of column l = 0 moves the limit of Lambda(0) and
+    # Lambda(1) off 1/9; the tail must follow the table, not 1/(S+1)^2
+    rows, common = _recurrence_weights(2)
+    rows = (
+        (rows[0][0] + 3, *rows[0][1:]),
+        (rows[1][0] - 1, *rows[1][1:]),
+        rows[2],
+    )
+    _patch_table(monkeypatch, (rows, common))
+    searches = _spy_tail(monkeypatch)
+    calls = _spy_exact(monkeypatch)
+    weights = list(_length_weights(2, (100, 1000)))
+    assert weights == [_rounded_spectrum(2, 100), _rounded_spectrum(2, 1000)]
+    assert [value for value, _ in weights[0]] == [23 / 180, 19 / 180, 1 / 9]
+    assert len(searches) == 1 and searches[0][1] <= 100
+    assert calls == []
 
 
 @pytest.mark.parametrize(

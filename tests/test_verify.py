@@ -525,6 +525,45 @@ def test_flat_limit_reports_first_counterexample(monkeypatch):
     ]
 
 
+def _walks(monkeypatch, cells):
+    """Move the exact suites' kernel at ``cells`` (see ``_perturbed``) and log its walks.
+
+    Each call of the kernel appends [S, the lengths it yielded, in order].
+    """
+    kernel = _perturbed(exact_suites._sector_numerators, cells)
+    walks = []
+
+    def logged(weights, S, lengths):
+        walks.append([S])
+        for L, cell in zip(lengths, kernel(weights, S, lengths)):
+            walks[-1].append(L)
+            yield cell
+
+    monkeypatch.setattr(exact_suites, "_sector_numerators", logged)
+    return walks
+
+
+def test_a_failed_trace_law_stops_the_kernel_walk(monkeypatch):
+    # N_0 moves by 1 over D = 12 at S = 1, L = 1: the trace law fails at its
+    # first cell, and no later length or spin can change that record
+    clean = suite_conjecture1(5, 20)
+    walks = _walks(monkeypatch, {("recurrence", 1, 1): (0, Fraction(1, 12))})
+    checks = suite_conjecture1(5, 20)
+    assert walks == [[1, 1]]
+    failed = dict(clean[-1], passed=False, counterexample={"S": 1, "L": 1, "trace": "13/12"})
+    assert checks == clean[:-1] + [failed]
+
+
+def test_a_failed_flat_limit_stops_the_kernel_walk(monkeypatch):
+    walks = _walks(monkeypatch, {("recurrence", 1, 3): (0, 1)})
+    (record,) = suite_flat_limit(5, 40)
+    assert walks == [[1, 2, 3]]
+    assert list(record["counterexample"].items()) == [
+        ("S", 1), ("L", 3), ("J", 0), ("deviation", "35/36"), ("bound", "1/36"),
+    ]
+    assert record["detail"].endswith("S<=5, L<=40 (exact rational comparison)")
+
+
 def test_exact_suites_format_only_the_first_failing_cell(monkeypatch):
     # Every recurrence sector moves by 1 and every closed-table weight by one
     # unit, so every cell of every check fails; each check still builds the
