@@ -1,13 +1,13 @@
 """The numpy-free verification layer: check records, suites table, exact suites.
 
 ``_Check`` builds every check record, the CLI's included, and ``_exact_text``
-writes every exact value. ``suite_conjecture1`` compares the two weight
-tables once per S; it and ``suite_flat_limit`` decide each per-L cell in
-integers, on the unreduced N_J / D of ``spectrum._sector_numerators``, and
-format Fractions only for a counterexample. ``run_suite`` runs any suite of the
-``SUITES`` table: one defined here, any other from ``verify``, imported only
-then because it loads the numpy oracle. The CLI imports ``run_suite`` and
-``SUITES`` from here, so ``verify conjecture1`` runs without numpy.
+writes every exact value. ``suite_conjecture1`` compares the two weight tables
+once per S; it and ``suite_flat_limit`` decide each per-L cell in integers, on
+the unreduced N_J / D of ``spectrum._sector_numerators`` (the flat limit as
+|(S+1)^2 N_J - D| <= (S+1)^2 k_J |a_1|^(L-1)), and format Fractions only for a
+counterexample. ``run_suite`` runs any suite of ``SUITES``: one defined here,
+any other from ``verify``, imported only then, as it loads the numpy oracle.
+The CLI imports both from here, so ``verify conjecture1`` runs without numpy.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ from fractions import Fraction
 from operator import mul
 
 from .spectrum import _closed_weights, _recurrence_weights, _sector_numerators
-from .spectrum import flat_limit_bound, lambda_coeff
 
 __all__ = ["SUITES", "run_suite", "suite_conjecture1", "suite_flat_limit"]
 
@@ -125,9 +124,9 @@ def suite_conjecture1(max_spin: int = 5, max_length: int = 30) -> list[dict]:
 def suite_flat_limit(max_spin: int = 5, max_length: int = 40) -> list[dict]:
     """Exponential approach of Lambda(J) = N_J / D to the flat value 1/n, n = (S+1)^2.
 
-    With K(S,J) = k / w and |lambda(1,S)|^(L-1) = p / q, stepped per L, a
-    cell passes when |n N_J - D| / (n D) <= k p / (w q), cross-multiplied.
-    The walk stops at the first failing cell.
+    With k_J = M K(S,J) from the recurrence table (T, M) and D = M a_0^(L-1),
+    a cell passes iff |n N_J - D| <= n k_J |a_1|^(L-1), in integers. The walk
+    stops at the first failing cell, the only one whose texts are Fractions.
     """
     check = _Check("conjecture1", "flat_limit_bound")
     detail = (
@@ -135,17 +134,15 @@ def suite_flat_limit(max_spin: int = 5, max_length: int = 40) -> list[dict]:
         f"S<={max_spin}, L<={max_length} (exact rational comparison)"
     )
     for S in range(1, max_spin + 1):
-        n, p, q = (S + 1) ** 2, 1, 1
-        dp, dq = abs(lambda_coeff(1, S)).as_integer_ratio()
-        bounds = [flat_limit_bound(S, J).as_integer_ratio() for J in range(S + 1)]
+        n, a1, power = (S + 1) ** 2, math.comb(2 * S + 1, S - 1), 1
+        bounds = [sum(map(abs, row[1:])) for row in _recurrence_weights(S)[0]]
         kernel = _sector_numerators(_recurrence_weights, S, range(2, max_length + 1))
         for L, (numerators, D) in enumerate(kernel, 2):
-            p, q = p * dp, q * dq
-            for J, (N, (k, w)) in enumerate(zip(numerators, bounds)):
-                if abs(n * N - D) * w * q > k * p * n * D:
-                    deviation, bound = Fraction(abs(n * N - D), n * D), Fraction(k * p, w * q)
-                    check.cell(True, S=S, L=L, J=J, deviation=_exact_text(deviation),
-                               bound=_exact_text(bound))
+            power *= a1
+            for J, (N, k) in enumerate(zip(numerators, bounds)):
+                if (gap := abs(n * N - D)) > n * k * power:
+                    check.cell(True, S=S, L=L, J=J, deviation=_exact_text(Fraction(gap, n * D)),
+                               bound=_exact_text(Fraction(k * power, D)))
                     return [check.record(detail)]
     return [check.record(detail)]
 

@@ -340,7 +340,10 @@ def flat_limit_bound(S: int, J: int) -> Fraction:
     """Constant K(S, J) of the large-L deviation bound, exact.
 
     |Lambda(J) - 1/(S+1)^2| <= K(S,J) * |lambda(1,S)|^(L-1) with
-    K(S,J) = (1/(S+1)^2) sum_{l=1}^{S} (2l+1) |I_l(x(J))|.
+    K(S,J) = (1/(S+1)^2) sum_{l=1}^{S} (2l+1) |I_l(x(J))| = k_J / M. The
+    integer k_J = sum_{l>=1} |T_{J,l}| of ``_recurrence_weights`` (T, M) is
+    read by the entropy flat tail and by ``exact_suites.suite_flat_limit``,
+    which decides |(S+1)^2 N_J - D| <= (S+1)^2 k_J |a_1|^(L-1) at each cell.
     """
     _check_int("bulk spin", S, 1)
     _check_int("edge-spin sector J", J, 0, S)

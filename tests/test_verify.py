@@ -564,6 +564,41 @@ def test_a_failed_flat_limit_stops_the_kernel_walk(monkeypatch):
     assert record["detail"].endswith("S<=5, L<=40 (exact rational comparison)")
 
 
+def test_a_passing_conjecture1_run_builds_no_fraction(monkeypatch):
+    # Every cell of both exact suites is decided in integers; only a failing
+    # cell's texts would need a Fraction, so a passing run builds none.
+    def no_fraction(*args):
+        raise AssertionError(f"Fraction{args} built by a passing run")
+
+    monkeypatch.setattr(spectrum, "Fraction", no_fraction)
+    monkeypatch.setattr(exact_suites, "Fraction", no_fraction)
+    assert all_passed(run_suite("conjecture1", max_spin=6, max_length=20))
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_a_flat_limit_cell_on_its_bound_passes_and_one_unit_past_fails(monkeypatch, sign):
+    # With n = (S+1)^2, N_1 = D/n +- k_1 |a_1|^(L-1) puts the cell (S, L, J)
+    # exactly on K(S,J) |lambda(1,S)|^(L-1); N_1 one unit further is past it.
+    S, L, J, n = 2, 5, 1, 9
+    real = exact_suites._sector_numerators
+    (numerators, D), = real(spectrum._recurrence_weights, S, (L,))
+    k = sum(map(abs, spectrum._recurrence_weights(S)[0][J][1:]))
+    reach = k * math.comb(2 * S + 1, S - 1) ** (L - 1)
+    bound = flat_limit_bound(S, J) * abs(lambda_coeff(1, S)) ** (L - 1)
+    on_bound = D // n + sign * reach
+    assert abs(Fraction(on_bound, D) - Fraction(1, n)) == bound
+    for N in on_bound, on_bound + sign:
+        cells = {("recurrence", S, L): (J, Fraction(N - numerators[J], D))}
+        monkeypatch.setattr(exact_suites, "_sector_numerators", _perturbed(real, cells))
+        (record,) = suite_flat_limit(max_spin=3, max_length=8)
+        assert record["passed"] == (N == on_bound)
+    deviation = abs(Fraction(N, D) - Fraction(1, n))
+    assert deviation > bound
+    assert record["counterexample"] == {
+        "S": S, "L": L, "J": J, "deviation": str(deviation), "bound": str(bound),
+    }
+
+
 def test_exact_suites_format_only_the_first_failing_cell(monkeypatch):
     # Every recurrence sector moves by 1 and every closed-table weight by one
     # unit, so every cell of every check fails; each check still builds the
